@@ -37,7 +37,6 @@ enum class BarrierPolicy : uint8_t {
 enum class TransportKind : uint8_t {
   kInProc = 0,  // mutex/condvar mailboxes
   kTcp,         // real localhost TCP sockets, multiplexed by one epoll loop per node
-  kJitter,      // in-process with randomized delivery delays (testing; preserves pair FIFO)
   kFaulty,      // seeded drop/duplicate/reorder/partition injection (testing; requires the
                 //   reliable delivery channel, which System enables automatically)
 };
@@ -86,10 +85,6 @@ struct SystemConfig {
   // span histograms) here: Prometheus text for .prom/.txt, JSON otherwise. Implies spans.
   // Env fallback: MIDWAY_METRICS_PATH.
   std::string metrics_path;
-
-  // kJitter transport parameters (testing).
-  uint64_t jitter_seed = 1;
-  uint32_t jitter_max_delay_us = 500;
 
   // kFaulty transport parameters (testing): seed and per-packet fault rates.
   FaultProfile fault;

@@ -2,7 +2,10 @@
 // paper's actual deployment shape (a network of workstations).
 //
 // Every process calls RunDistributedNode with its rank; rank 0 coordinates the mesh
-// bootstrap (barriers run over the reduction tree rooted at the lowest live rank). The
+// bootstrap (net::BootstrapMesh), after which each process runs its rank over an
+// EpollTransport that adopts the connected sockets — the same event-loop TCP stack as the
+// in-process TransportKind::kTcp, with one local node instead of all of them. Barriers run
+// over the reduction tree rooted at the lowest live rank. The
 // SPMD contract is unchanged: all ranks execute the same setup calls in
 // the same order before BeginParallel. RunDistributedNode returns only after *every* rank
 // has finished `body` (a final collective keeps each node's communication thread serving

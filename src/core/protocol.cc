@@ -3,8 +3,15 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/net/faulty_transport.h"
 
 namespace midway {
+
+// FaultyTransport's kMuteHeartbeats windows recognise liveness frames by these copied tags;
+// a renumbered MsgType would otherwise silently turn every such window into a no-op.
+static_assert(kHeartbeatTag == static_cast<uint8_t>(MsgType::kHeartbeat));
+static_assert(kHeartbeatAckTag == static_cast<uint8_t>(MsgType::kHeartbeatAck));
+
 namespace {
 
 void EncodeLoggedUpdates(WireWriter* w, const std::vector<LoggedUpdate>& log) {

@@ -11,7 +11,6 @@
 #include "src/net/epoll_transport.h"
 #include "src/net/faulty_transport.h"
 #include "src/net/inproc_transport.h"
-#include "src/net/jitter_transport.h"
 
 namespace midway {
 namespace {
@@ -72,10 +71,6 @@ System::System(const SystemConfig& config) : config_(config) {
       break;
     case TransportKind::kTcp:
       transport_ = std::make_unique<EpollTransport>(config_.num_procs);
-      break;
-    case TransportKind::kJitter:
-      transport_ = std::make_unique<JitterTransport>(config_.num_procs, config_.jitter_seed,
-                                                     config_.jitter_max_delay_us);
       break;
     case TransportKind::kFaulty:
       // The DSM protocol assumes FIFO exactly-once delivery; over a lossy transport the

@@ -120,6 +120,7 @@ void VmStrategy::Collect(const Binding& binding, uint64_t since, uint64_t stamp_
       const uint32_t page_bytes = table->PageBytes(page);
       std::byte* data = table->PageData(page);
       std::byte* twin = table->MutableTwin(page);
+      MIDWAY_DCHECK(twin != nullptr);  // dirty => twin valid (PageTable invariant)
       // Diff the whole page against its twin (the paper's primitive), then clip the runs to
       // the window bound to this synchronization object.
       ComputeDiffInto({data, page_bytes}, {twin, page_bytes}, &runs);

@@ -30,8 +30,11 @@ uint32_t PageTable::PageBytes(size_t page) const {
 bool PageTable::FaultIn(size_t page) {
   Entry& entry = entries_[page];
   uint32_t expected = kClean;
-  if (!entry.state.compare_exchange_strong(expected, kDirty, std::memory_order_acq_rel)) {
+  if (!entry.state.compare_exchange_strong(expected, kTwinning, std::memory_order_acq_rel)) {
     return false;
+  }
+  if (claim_hook_ != nullptr) {
+    claim_hook_(this, page, claim_hook_arg_);
   }
   std::byte* twin;
   if (preallocated_) {
@@ -41,6 +44,8 @@ bool PageTable::FaultIn(size_t page) {
     twin = entry.twin.get();
   }
   std::memcpy(twin, PageData(page), PageBytes(page));
+  // Publish dirty only now: a reader that sees kDirty also sees the finished twin.
+  entry.state.store(kDirty, std::memory_order_release);
   fault_count_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }

@@ -4,6 +4,12 @@
 // page faults: the fault handler saves a copy of the page (its "twin"), marks the page dirty,
 // and grants write access. Subsequent stores proceed at full speed. At write collection the
 // page is diffed against its twin (see diff.h / VmStrategy).
+//
+// Invariant: a page that reads as dirty has a complete twin. The fault path claims a clean
+// page with an intermediate twinning state and publishes dirty only after the copy, so the
+// communication thread, which diffs pages bound to a lock it is granting while the
+// application thread keeps faulting in other data on the same page, sees either a clean page
+// (nothing on it changed since the last collection) or a dirty page with a valid twin.
 #ifndef MIDWAY_SRC_MEM_PAGE_TABLE_H_
 #define MIDWAY_SRC_MEM_PAGE_TABLE_H_
 
@@ -42,11 +48,22 @@ class PageTable {
   // Safe to call from a signal handler when twins are preallocated.
   bool FaultIn(size_t page);
 
+  // Test hook: called by FaultIn after it has claimed `page` and before it copies the twin,
+  // the window in which a concurrent reader must not yet see the page as dirty.
+  using ClaimHook = void (*)(PageTable* table, size_t page, void* arg);
+  void SetClaimHookForTesting(ClaimHook hook, void* arg) {
+    claim_hook_ = hook;
+    claim_hook_arg_ = arg;
+  }
+
   std::byte* PageData(size_t page) { return region_->data() + PageBegin(page); }
   const std::byte* Twin(size_t page) const;
   std::byte* MutableTwin(size_t page);
 
-  // Returns the page to the clean state and releases its twin (non-preallocated mode).
+  // Returns the page to the clean state and releases its twin (non-preallocated mode). Runs
+  // on the application thread (VmStrategy::RetirePage at a sync point, under the runtime
+  // lock), the only thread that faults pages in, so it cannot overlap a FaultIn; the runtime
+  // lock keeps it apart from collection on the communication thread.
   void MarkClean(size_t page);
 
   // Cumulative count of FaultIn transitions (the "write faults" row of Table 2).
@@ -55,6 +72,7 @@ class PageTable {
  private:
   static constexpr uint32_t kClean = 0;
   static constexpr uint32_t kDirty = 1;
+  static constexpr uint32_t kTwinning = 2;  // claimed by FaultIn, twin not yet complete
 
   struct Entry {
     std::atomic<uint32_t> state{kClean};
@@ -68,6 +86,8 @@ class PageTable {
   std::unique_ptr<std::byte[]> twin_arena_;  // preallocated mode: num_pages * page_size
   std::vector<Entry> entries_;
   std::atomic<uint64_t> fault_count_{0};
+  ClaimHook claim_hook_ = nullptr;
+  void* claim_hook_arg_ = nullptr;
 };
 
 }  // namespace midway

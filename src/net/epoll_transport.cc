@@ -22,20 +22,25 @@ namespace {
 // epoll_event.data.u32 tag for the per-node eventfd (peer ids are < kWakeTag).
 constexpr uint32_t kWakeTag = 0xFFFFFFFF;
 
-// A 64-node mesh needs ~N^2 socket endpoints in one process; the default soft NOFILE limit
-// (often 1024) is below that. Raise it toward the hard limit, once, best-effort.
-void RaiseFdLimitFor(NodeId num_nodes) {
-  const rlim_t needed = static_cast<rlim_t>(num_nodes) * num_nodes +
-                        3 * static_cast<rlim_t>(num_nodes) + 256;
+// An in-process 64-node mesh holds ~N^2 sockets in one process; the default soft NOFILE limit
+// (often 1024) is below that. Raise it toward the hard limit, best-effort, to cover the
+// sockets, epoll sets and eventfds of `local_nodes` nodes each linked to every other node.
+void RaiseFdLimitFor(NodeId local_nodes, NodeId num_nodes) {
+  const rlim_t needed = static_cast<rlim_t>(local_nodes) * (num_nodes + 1) + 256;
   rlimit lim{};
   if (::getrlimit(RLIMIT_NOFILE, &lim) != 0 || lim.rlim_cur >= needed) return;
   rlimit want = lim;
   want.rlim_cur = std::min(std::max<rlim_t>(needed, lim.rlim_cur), lim.rlim_max);
   if (::setrlimit(RLIMIT_NOFILE, &want) != 0) {
-    MIDWAY_LOG(Warn) << "epoll transport: cannot raise RLIMIT_NOFILE to " << needed
-                     << " for a " << num_nodes << "-node mesh: " << std::strerror(errno);
+    MIDWAY_LOG(Warn) << "epoll transport: cannot raise RLIMIT_NOFILE to " << needed << " for "
+                     << local_nodes << " local nodes of " << num_nodes << ": "
+                     << std::strerror(errno);
   }
 }
+
+// A reset or a broken pipe means the peer closed its end, as a multi-process rank does when
+// it finishes first. Like a clean EOF, that ends the link without being an error.
+bool PeerClosed(int err) { return err == ECONNRESET || err == EPIPE; }
 
 void SetNonblocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -85,73 +90,86 @@ size_t TryWritev(int fd, const net::IoSlice* slices, size_t count, bool* fatal) 
 
 }  // namespace
 
-EpollTransport::EpollTransport(NodeId num_nodes) : num_nodes_(num_nodes) {
+EpollTransport::EpollTransport(NodeId num_nodes) : num_nodes_(num_nodes), nodes_(num_nodes) {
   MIDWAY_CHECK_GT(num_nodes, 0);
-  RaiseFdLimitFor(num_nodes);
-  nodes_.reserve(num_nodes);
-  for (NodeId i = 0; i < num_nodes; ++i) {
-    auto node = std::make_unique<Node>();
-    node->self = i;
-    node->conns.resize(num_nodes);
-    nodes_.push_back(std::move(node));
-  }
-
-  // Build the mesh: for each pair (i < j), j connects to i's listener. Setup is sequential
-  // (single constructor thread), so there is no accept/connect ordering hazard: we connect
-  // then immediately accept. Sockets go non-blocking only after the handshake.
-  auto make_conn = [this](NodeId owner, NodeId peer, int fd) {
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conn->peer = peer;
-    conn->assembler = std::make_unique<net::FrameAssembler>(&nodes_[owner]->pool);
-    nodes_[owner]->conns[peer] = std::move(conn);
-  };
+  RaiseFdLimitFor(num_nodes, num_nodes);
+  // fds[i][j] is node i's endpoint toward j. For each pair (i < j), j connects to i's
+  // listener. Setup is sequential (single constructor thread), so there is no
+  // accept/connect ordering hazard: we connect then immediately accept.
+  std::vector<std::vector<int>> fds(num_nodes, std::vector<int>(num_nodes, -1));
   for (NodeId i = 0; i + 1 < num_nodes; ++i) {
     uint16_t port = 0;
     int listener = net::Listen("127.0.0.1", &port);
     for (NodeId j = i + 1; j < num_nodes; ++j) {
-      int cfd = net::ConnectWithRetry("127.0.0.1", port);
-      int afd = ::accept(listener, nullptr, nullptr);
-      MIDWAY_CHECK_GE(afd, 0) << " accept(): " << std::strerror(errno);
-      net::TuneSocket(cfd);
-      net::TuneSocket(afd);
-      SetNonblocking(cfd);
-      SetNonblocking(afd);
-      make_conn(j, i, cfd);  // node j's endpoint toward i
-      make_conn(i, j, afd);  // node i's endpoint toward j
+      fds[j][i] = net::ConnectWithRetry("127.0.0.1", port);
+      fds[i][j] = ::accept(listener, nullptr, nullptr);
+      MIDWAY_CHECK_GE(fds[i][j], 0) << " accept(): " << std::strerror(errno);
     }
     ::close(listener);
   }
+  for (NodeId i = 0; i < num_nodes; ++i) StartNode(i, fds[i]);
+}
 
-  // Per-node event loop: epoll over all N-1 endpoints plus an eventfd for wakeups.
-  for (NodeId i = 0; i < num_nodes; ++i) {
-    Node& node = *nodes_[i];
-    node.epfd = ::epoll_create1(0);
-    MIDWAY_CHECK_GE(node.epfd, 0) << " epoll_create1: " << std::strerror(errno);
-    node.wakefd = ::eventfd(0, EFD_NONBLOCK);
-    MIDWAY_CHECK_GE(node.wakefd, 0) << " eventfd: " << std::strerror(errno);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u32 = kWakeTag;
-    MIDWAY_CHECK_EQ(::epoll_ctl(node.epfd, EPOLL_CTL_ADD, node.wakefd, &ev), 0);
-    for (NodeId j = 0; j < num_nodes; ++j) {
-      if (!node.conns[j]) continue;
-      epoll_event cev{};
-      cev.events = EPOLLIN;
-      cev.data.u32 = j;
-      MIDWAY_CHECK_EQ(::epoll_ctl(node.epfd, EPOLL_CTL_ADD, node.conns[j]->fd, &cev), 0)
-          << " epoll_ctl(ADD): " << std::strerror(errno);
+EpollTransport::EpollTransport(NodeId self, NodeId num_nodes, const std::vector<int>& peer_fds)
+    : num_nodes_(num_nodes), nodes_(num_nodes) {
+  MIDWAY_CHECK_LT(self, num_nodes);
+  MIDWAY_CHECK_EQ(peer_fds.size(), num_nodes);
+  for (NodeId p = 0; p < num_nodes; ++p) {
+    if (p == self) {
+      MIDWAY_CHECK_EQ(peer_fds[p], -1) << " a rank has no socket to itself";
+    } else {
+      MIDWAY_CHECK_GE(peer_fds[p], 0) << " missing mesh link to rank " << p;
     }
-    node.loop = std::thread([this, i] { EventLoop(i); });
   }
+  RaiseFdLimitFor(1, num_nodes);
+  StartNode(self, peer_fds);
+}
+
+void EpollTransport::StartNode(NodeId self, const std::vector<int>& fds) {
+  auto node = std::make_unique<Node>();
+  node->self = self;
+  node->conns.resize(num_nodes_);
+  node->epfd = ::epoll_create1(0);
+  MIDWAY_CHECK_GE(node->epfd, 0) << " epoll_create1: " << std::strerror(errno);
+  node->wakefd = ::eventfd(0, EFD_NONBLOCK);
+  MIDWAY_CHECK_GE(node->wakefd, 0) << " eventfd: " << std::strerror(errno);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u32 = kWakeTag;
+  MIDWAY_CHECK_EQ(::epoll_ctl(node->epfd, EPOLL_CTL_ADD, node->wakefd, &ev), 0);
+  for (NodeId peer = 0; peer < num_nodes_; ++peer) {
+    if (fds[peer] < 0) continue;
+    net::TuneSocket(fds[peer]);
+    SetNonblocking(fds[peer]);
+    auto conn = std::make_unique<Conn>();
+    conn->fd = fds[peer];
+    conn->peer = peer;
+    conn->assembler = std::make_unique<net::FrameAssembler>(&node->pool);
+    epoll_event cev{};
+    cev.events = EPOLLIN;
+    cev.data.u32 = peer;
+    MIDWAY_CHECK_EQ(::epoll_ctl(node->epfd, EPOLL_CTL_ADD, conn->fd, &cev), 0)
+        << " epoll_ctl(ADD): " << std::strerror(errno);
+    node->conns[peer] = std::move(conn);
+  }
+  Node& started = *node;
+  nodes_[self] = std::move(node);
+  started.loop = std::thread([this, &started] { EventLoop(started); });
+}
+
+EpollTransport::Node& EpollTransport::LocalNode(NodeId id) {
+  MIDWAY_CHECK_LT(id, num_nodes_);
+  MIDWAY_CHECK(nodes_[id] != nullptr) << " node " << id << " is not local to this transport";
+  return *nodes_[id];
 }
 
 EpollTransport::~EpollTransport() {
   Shutdown();
   for (auto& node : nodes_) {
-    if (node->loop.joinable()) node->loop.join();
+    if (node && node->loop.joinable()) node->loop.join();
   }
   for (auto& node : nodes_) {
+    if (!node) continue;
     for (auto& conn : node->conns) {
       if (conn && conn->fd >= 0) {
         ::close(conn->fd);
@@ -179,15 +197,15 @@ void EpollTransport::SetWantWrite(Node& node, Conn& conn, bool want) {
   }
 }
 
-void EpollTransport::EventLoop(NodeId self) {
-  Node& node = *nodes_[self];
+void EpollTransport::EventLoop(Node& node) {
   constexpr int kMaxEvents = 128;
   std::vector<epoll_event> events(kMaxEvents);
   for (;;) {
     int n = ::epoll_wait(node.epfd, events.data(), kMaxEvents, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
-      MIDWAY_LOG(Warn) << "epoll_wait failed on node " << self << ": " << std::strerror(errno);
+      MIDWAY_LOG(Warn) << "epoll_wait failed on node " << node.self << ": "
+                       << std::strerror(errno);
       break;
     }
     for (int i = 0; i < n; ++i) {
@@ -249,10 +267,10 @@ void EpollTransport::DrainRecv(Node& node, Conn& conn) {
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    close_conn(std::strerror(errno));
+    close_conn(PeerClosed(errno) ? nullptr : std::strerror(errno));
     break;
   }
-  if (!batch.empty()) DeliverBatch(node.self, &batch);
+  if (!batch.empty()) DeliverBatch(node, &batch);
 }
 
 void EpollTransport::FlushPending(Node& node, Conn& conn) {
@@ -264,7 +282,7 @@ void EpollTransport::FlushPending(Node& node, Conn& conn) {
     if (r < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (!shutdown_.load(std::memory_order_relaxed)) {
+      if (!shutdown_.load(std::memory_order_relaxed) && !PeerClosed(errno)) {
         MIDWAY_LOG(Warn) << "epoll transport: flush " << node.self << "->" << conn.peer
                          << " failed: " << std::strerror(errno);
       }
@@ -303,7 +321,7 @@ void EpollTransport::SendSlices(Node& node, Conn& conn, const net::IoSlice* slic
     bool fatal = false;
     written = TryWritev(conn.fd, slices, count, &fatal);
     if (fatal) {
-      if (!shutdown_.load(std::memory_order_relaxed)) {
+      if (!shutdown_.load(std::memory_order_relaxed) && !PeerClosed(errno)) {
         MIDWAY_LOG(Warn) << "epoll transport: send " << node.self << "->" << conn.peer
                          << " failed: " << std::strerror(errno);
       }
@@ -335,22 +353,23 @@ void EpollTransport::SendSlices(Node& node, Conn& conn, const net::IoSlice* slic
 }
 
 void EpollTransport::Send(NodeId src, NodeId dst, std::vector<std::byte> payload) {
+  Node& node = LocalNode(src);
   MIDWAY_CHECK_LT(dst, num_nodes_);
   bytes_sent_.fetch_add(payload.size(), std::memory_order_relaxed);
   packets_sent_.fetch_add(1, std::memory_order_relaxed);
   if (src == dst) {
-    Deliver(dst, Packet::Owned(src, std::move(payload)));
+    Deliver(node, Packet::Owned(src, std::move(payload)));
     return;
   }
   uint8_t header[net::kFrameHeaderBytes];
   net::FillFrameHeader(header, static_cast<uint32_t>(payload.size()), src);
   net::IoSlice slices[2] = {{header, sizeof(header)}, {payload.data(), payload.size()}};
-  SendSlices(*nodes_[src], *nodes_[src]->conns[dst], slices, 2,
-             sizeof(header) + payload.size());
+  SendSlices(node, *node.conns[dst], slices, 2, sizeof(header) + payload.size());
 }
 
 void EpollTransport::SendV(NodeId src, NodeId dst,
                            std::span<const std::span<const std::byte>> segments) {
+  Node& node = LocalNode(src);
   MIDWAY_CHECK_LT(dst, num_nodes_);
   if (src == dst) {
     // A self-delivered packet outlives the borrowed segments; gather into an owned vector.
@@ -369,12 +388,11 @@ void EpollTransport::SendV(NodeId src, NodeId dst,
   for (const auto& seg : segments) {
     slices.push_back(net::IoSlice{seg.data(), seg.size()});
   }
-  SendSlices(*nodes_[src], *nodes_[src]->conns[dst], slices.data(), slices.size(),
-             sizeof(header) + total);
+  SendSlices(node, *node.conns[dst], slices.data(), slices.size(), sizeof(header) + total);
 }
 
-void EpollTransport::Deliver(NodeId dst, Packet packet) {
-  Mailbox& box = nodes_[dst]->mailbox;
+void EpollTransport::Deliver(Node& node, Packet packet) {
+  Mailbox& box = node.mailbox;
   {
     std::lock_guard<std::mutex> lock(box.mu);
     box.queue.push_back(std::move(packet));
@@ -382,8 +400,8 @@ void EpollTransport::Deliver(NodeId dst, Packet packet) {
   box.cv.notify_one();
 }
 
-void EpollTransport::DeliverBatch(NodeId dst, std::vector<Packet>* batch) {
-  Mailbox& box = nodes_[dst]->mailbox;
+void EpollTransport::DeliverBatch(Node& node, std::vector<Packet>* batch) {
+  Mailbox& box = node.mailbox;
   {
     std::lock_guard<std::mutex> lock(box.mu);
     for (auto& p : *batch) box.queue.push_back(std::move(p));
@@ -392,8 +410,7 @@ void EpollTransport::DeliverBatch(NodeId dst, std::vector<Packet>* batch) {
 }
 
 bool EpollTransport::Recv(NodeId self, Packet* out) {
-  MIDWAY_CHECK_LT(self, num_nodes_);
-  Mailbox& box = nodes_[self]->mailbox;
+  Mailbox& box = LocalNode(self).mailbox;
   std::unique_lock<std::mutex> lock(box.mu);
   box.cv.wait(lock, [&] { return !box.queue.empty() || shutdown_.load(); });
   if (box.queue.empty()) return false;
@@ -403,8 +420,7 @@ bool EpollTransport::Recv(NodeId self, Packet* out) {
 }
 
 bool EpollTransport::RecvBatch(NodeId self, std::vector<Packet>* out) {
-  MIDWAY_CHECK_LT(self, num_nodes_);
-  Mailbox& box = nodes_[self]->mailbox;
+  Mailbox& box = LocalNode(self).mailbox;
   std::unique_lock<std::mutex> lock(box.mu);
   box.cv.wait(lock, [&] { return !box.queue.empty() || shutdown_.load(); });
   if (box.queue.empty()) return false;
@@ -420,6 +436,7 @@ void EpollTransport::Shutdown() {
   bool expected = false;
   const bool first = shutdown_.compare_exchange_strong(expected, true);
   for (auto& node : nodes_) {
+    if (!node) continue;
     if (first) {
       WakeLoop(*node);
       for (auto& conn : node->conns) {
@@ -436,6 +453,7 @@ void EpollTransport::Shutdown() {
 uint64_t EpollTransport::RecvBytesCopied() const {
   uint64_t total = 0;
   for (const auto& node : nodes_) {
+    if (!node) continue;
     for (const auto& conn : node->conns) {
       if (conn) total += conn->assembler->BytesCopied();
     }

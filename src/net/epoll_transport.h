@@ -1,11 +1,15 @@
-// Event-loop TCP transport: one epoll loop thread per node multiplexes all of that node's
-// mesh connections over non-blocking sockets.
+// Event-loop TCP transport: one epoll loop thread per local node multiplexes all of that
+// node's mesh connections over non-blocking sockets. This is the one TCP stack, used two
+// ways:
 //
-// This replaces the thread-per-connection design (which needed N*(N-1) blocked reader
-// threads for an N-node mesh) with N loop threads total, making 64+ node in-process meshes
-// practical. The data path:
+//   in-process   — EpollTransport(n): all n nodes are local and wired to each other over
+//                  localhost sockets (TransportKind::kTcp).
+//   multi-process — EpollTransport(self, n, fds): one local rank adopting sockets already
+//                  connected to its peers (net::BootstrapMesh), as RunDistributedNode does.
 //
-//   receive — each connection owns a FrameAssembler over pooled 64 KiB buffers; complete
+// Both constructors hand each local node's sockets to the same setup path. The data path:
+//
+//   receive — each connection owns a FrameAssembler over pooled 256 KiB buffers; complete
 //             frames are delivered to the mailbox as zero-copy views (Packet::Borrowed)
 //             pinned by the buffer's shared_ptr, batched per wakeup under one mailbox lock.
 //   send    — callers write opportunistically on the caller thread (the fast path is one
@@ -13,6 +17,8 @@
 //             SendV pipeline); on EAGAIN the remainder is copied into a per-connection
 //             pending queue flushed by the loop on EPOLLOUT. The queue is capped: senders
 //             block (backpressure) once kMaxPendingBytes are buffered for one link.
+//
+// Send/SendV may name only a local source, and Recv/RecvBatch only a local receiver.
 #ifndef MIDWAY_SRC_NET_EPOLL_TRANSPORT_H_
 #define MIDWAY_SRC_NET_EPOLL_TRANSPORT_H_
 
@@ -35,7 +41,11 @@ class EpollTransport final : public Transport {
   // Per-link pending-write cap; a sender blocks once this much is queued for one peer.
   static constexpr size_t kMaxPendingBytes = 4 * 1024 * 1024;
 
+  // All num_nodes nodes local, meshed over localhost sockets.
   explicit EpollTransport(NodeId num_nodes);
+  // Only `self` local: peer_fds[p] is a connected socket to rank p (peer_fds[self] is -1).
+  // Takes ownership of the sockets.
+  EpollTransport(NodeId self, NodeId num_nodes, const std::vector<int>& peer_fds);
   ~EpollTransport() override;
 
   NodeId NumNodes() const override { return num_nodes_; }
@@ -86,21 +96,27 @@ class EpollTransport final : public Transport {
     std::thread loop;
   };
 
-  void EventLoop(NodeId self);
+  // The per-node setup both constructors share: makes fds[peer] non-blocking, gives each a
+  // FrameAssembler, registers them and a wakeup eventfd with a new epoll set, and starts
+  // the node's loop thread.
+  void StartNode(NodeId self, const std::vector<int>& fds);
+  // The node `id`, which must be local to this instance.
+  Node& LocalNode(NodeId id);
+  void EventLoop(Node& node);
   void DrainRecv(Node& node, Conn& conn);
   void FlushPending(Node& node, Conn& conn);
   // Writes slices (header first) to conn, queueing any unwritten remainder. Blocks while
   // the pending queue is over the cap. Counters are the caller's responsibility.
   void SendSlices(Node& node, Conn& conn, const net::IoSlice* slices, size_t count,
                   size_t total);
-  void Deliver(NodeId dst, Packet packet);
-  void DeliverBatch(NodeId dst, std::vector<Packet>* batch);
+  void Deliver(Node& node, Packet packet);
+  void DeliverBatch(Node& node, std::vector<Packet>* batch);
   // Arms/disarms EPOLLOUT for conn's fd. Called with conn.send_mu held.
   void SetWantWrite(Node& node, Conn& conn, bool want);
   void WakeLoop(Node& node);
 
   NodeId num_nodes_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<std::unique_ptr<Node>> nodes_;  // indexed by node id; null if not local
   std::atomic<bool> shutdown_{false};
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> packets_sent_{0};

@@ -13,13 +13,6 @@ uint64_t SteadyNowUs() {
                                    .count());
 }
 
-// Liveness frames are identified by the type tag after the 3-byte wire header. The tag
-// values mirror MsgType::kHeartbeat / kHeartbeatAck (src/core/protocol.h) — duplicated here
-// because the net layer sits below core and cannot include it; RelType tags (0x71/0x72)
-// are disjoint by design, so a reliable data frame can never be mistaken for a heartbeat.
-constexpr uint8_t kHeartbeatTag = 11;
-constexpr uint8_t kHeartbeatAckTag = 12;
-
 bool IsLivenessFrame(const std::vector<std::byte>& payload) {
   if (payload.size() <= kWireHeaderBytes) return false;
   const uint8_t tag = static_cast<uint8_t>(payload[kWireHeaderBytes]);

@@ -25,6 +25,14 @@
 
 namespace midway {
 
+// Liveness frames are identified by the type tag after the 3-byte wire header. The tag
+// values copy MsgType::kHeartbeat / kHeartbeatAck (src/core/protocol.h), which the net layer
+// sits below and cannot include; protocol.cc static_asserts that they still match. RelType
+// tags (0x71/0x72) are disjoint by design, so a reliable data frame can never be mistaken
+// for a heartbeat.
+inline constexpr uint8_t kHeartbeatTag = 11;
+inline constexpr uint8_t kHeartbeatAckTag = 12;
+
 // A scheduled node crash, consulted by the runtime: when `node`'s sync-point counter
 // (acquire + release + barrier-wait entries) reaches `at_sync_point`, the application thread
 // throws NodeCrashed and the transport cuts the node off mid-protocol. With `restart` true,

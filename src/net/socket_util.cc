@@ -2,12 +2,10 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
-#include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -132,45 +130,6 @@ int ConnectWithRetry(const std::string& host, uint16_t port, int timeout_ms) {
   }
 }
 
-bool WritevExact(int fd, const IoSlice* slices, size_t count) {
-  // Local iovec copy: partial writes mutate base/len as they resume.
-  std::vector<iovec> iov(count);
-  for (size_t i = 0; i < count; ++i) {
-    iov[i].iov_base = const_cast<void*>(slices[i].data);
-    iov[i].iov_len = slices[i].size;
-  }
-  size_t idx = 0;
-  while (idx < count) {
-    if (iov[idx].iov_len == 0) {
-      ++idx;
-      continue;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov.data() + idx;
-    msg.msg_iovlen = std::min(count - idx, static_cast<size_t>(IOV_MAX));
-    ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    auto n = static_cast<size_t>(r);
-    while (idx < count && n >= iov[idx].iov_len) {
-      n -= iov[idx].iov_len;
-      ++idx;
-    }
-    if (idx < count && n > 0) {
-      iov[idx].iov_base = static_cast<std::byte*>(iov[idx].iov_base) + n;
-      iov[idx].iov_len -= n;
-    }
-  }
-  return true;
-}
-
-void EnableNodelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
 namespace {
 
 // MIDWAY_SOCKET_BUFFER_BYTES, parsed once. 0 = keep the kernel default.
@@ -186,7 +145,8 @@ int ConfiguredSocketBufferBytes() {
 }  // namespace
 
 void TuneSocket(int fd) {
-  EnableNodelay(fd);
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const int want = ConfiguredSocketBufferBytes();
   if (want > 0) {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &want, sizeof(want));
@@ -208,6 +168,78 @@ void TuneSocket(int fd) {
                      << (want > 0 ? " (MIDWAY_SOCKET_BUFFER_BYTES=" + std::to_string(want) + ")"
                                   : " (kernel default buffers)");
   });
+}
+
+namespace {
+
+bool SendHello(int fd, uint16_t rank, uint16_t port) {
+  uint8_t buf[4] = {static_cast<uint8_t>(rank & 0xFF), static_cast<uint8_t>(rank >> 8),
+                    static_cast<uint8_t>(port & 0xFF), static_cast<uint8_t>(port >> 8)};
+  return WriteExact(fd, buf, sizeof(buf));
+}
+
+bool RecvHello(int fd, uint16_t* rank, uint16_t* port) {
+  uint8_t buf[4];
+  if (!ReadExact(fd, buf, sizeof(buf))) return false;
+  *rank = static_cast<uint16_t>(buf[0] | (buf[1] << 8));
+  *port = static_cast<uint16_t>(buf[2] | (buf[3] << 8));
+  return true;
+}
+
+}  // namespace
+
+std::vector<int> BootstrapMesh(uint16_t self, uint16_t num_nodes, const std::string& host,
+                               int listener_fd, uint16_t coordinator_port) {
+  MIDWAY_CHECK_LT(self, num_nodes);
+  std::vector<int> fds(num_nodes, -1);
+  std::vector<uint8_t> table(static_cast<size_t>(num_nodes) * 2, 0);
+  // Accepts one hello on `listener` from a rank above `lowest_excluded`; returns its rank.
+  auto accept_hello = [&](int listener, uint16_t lowest_excluded, uint16_t* port) {
+    int fd = ::accept(listener, nullptr, nullptr);
+    MIDWAY_CHECK_GE(fd, 0) << " accept(): " << std::strerror(errno);
+    uint16_t rank = 0;
+    MIDWAY_CHECK(RecvHello(fd, &rank, port)) << " bootstrap hello failed";
+    MIDWAY_CHECK_GT(rank, lowest_excluded);
+    MIDWAY_CHECK_LT(rank, num_nodes);
+    MIDWAY_CHECK_EQ(fds[rank], -1) << " duplicate rank " << rank;
+    fds[rank] = fd;
+    return rank;
+  };
+
+  if (self == 0) {
+    MIDWAY_CHECK_GE(listener_fd, 0) << " rank 0 needs a listening socket";
+    for (uint16_t k = 1; k < num_nodes; ++k) {
+      uint16_t port = 0;
+      const uint16_t rank = accept_hello(listener_fd, 0, &port);
+      table[rank * 2] = static_cast<uint8_t>(port & 0xFF);
+      table[rank * 2 + 1] = static_cast<uint8_t>(port >> 8);
+    }
+    ::close(listener_fd);
+    for (uint16_t r = 1; r < num_nodes; ++r) {
+      MIDWAY_CHECK(WriteExact(fds[r], table.data(), table.size()))
+          << " table broadcast to rank " << r << " failed";
+    }
+    return fds;
+  }
+
+  uint16_t my_port = 0;
+  int peer_listener = Listen(host, &my_port);
+  fds[0] = ConnectWithRetry(host, coordinator_port);
+  MIDWAY_CHECK(SendHello(fds[0], self, my_port)) << " bootstrap hello failed";
+  MIDWAY_CHECK(ReadExact(fds[0], table.data(), table.size())) << " bootstrap table read failed";
+  // Lower-numbered peers are already listening: the coordinator sends the table only once
+  // every rank has registered its port.
+  for (uint16_t j = 1; j < self; ++j) {
+    const auto port = static_cast<uint16_t>(table[j * 2] | (table[j * 2 + 1] << 8));
+    fds[j] = ConnectWithRetry(host, port);
+    MIDWAY_CHECK(SendHello(fds[j], self, 0)) << " bootstrap hello failed";
+  }
+  for (uint16_t k = self + 1; k < num_nodes; ++k) {
+    uint16_t unused = 0;
+    accept_hello(peer_listener, self, &unused);
+  }
+  ::close(peer_listener);
+  return fds;
 }
 
 }  // namespace net

@@ -6,12 +6,15 @@
 // once a link's write queue is full), Recv blocks until a packet arrives or the transport
 // shuts down.
 //
-// Two implementations:
+// Implementations:
 //   * InProcTransport — mutex/condvar mailboxes (fast, deterministic; the default).
-//   * EpollTransport  — real localhost TCP sockets with length-prefixed frames, multiplexed
-//                       by one epoll event-loop thread per node. Received frames are views
+//   * EpollTransport  — the one TCP stack: length-prefixed frames multiplexed by one epoll
+//                       event-loop thread per local node, with every node in one process or
+//                       one rank per process (RunDistributedNode). Received frames are views
 //                       into pooled buffers (see Packet below), the receive-side mirror of
 //                       the zero-copy SendV path.
+//   * FaultyTransport — seeded fault injection over InProcTransport, for testing under the
+//                       reliable delivery channel.
 #ifndef MIDWAY_SRC_NET_TRANSPORT_H_
 #define MIDWAY_SRC_NET_TRANSPORT_H_
 

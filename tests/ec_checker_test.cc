@@ -319,7 +319,9 @@ TEST(EcCheckerTest, DisabledByDefaultCostsNothing) {
 
 // --- Clean runs: the five paper apps are violation-free under the checker ------------------
 
-class EcCleanRunTest : public testing::TestWithParam<std::tuple<const char*, DetectionMode>> {};
+// The app name is a std::string, not a const char*: gtest prints a pointer parameter with its
+// address, which would put a load-address-dependent value into every test's listed name.
+class EcCleanRunTest : public testing::TestWithParam<std::tuple<std::string, DetectionMode>> {};
 
 TEST_P(EcCleanRunTest, AppRunsViolationFree) {
   const auto& [app, mode] = GetParam();
@@ -338,7 +340,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values("water", "quicksort", "matmul", "sor", "cholesky"),
                      testing::Values(DetectionMode::kRt, DetectionMode::kVmSoft)),
     [](const testing::TestParamInfo<EcCleanRunTest::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) +
+      return std::get<0>(info.param) +
              (std::get<1>(info.param) == DetectionMode::kRt ? "_rt" : "_vm");
     });
 

@@ -5,6 +5,7 @@
 // apps; every failure message names the seed that reproduces it (see docs/TESTING.md).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,7 @@ TEST_P(PartitionSurvivalTest, ContendedCounterSurvivesPartitions) {
   config.rel_max_rto_us = 20'000;
 
   int observed = -1;
+  std::atomic<int> regressions{0};
   System system(config);
   system.Run([&](Runtime& rt) {
     auto counter = MakeSharedArray<int64_t>(rt, 1);
@@ -192,9 +194,16 @@ TEST_P(PartitionSurvivalTest, ContendedCounterSurvivesPartitions) {
     rt.Bind(lock, {counter.WholeRange()});
     BarrierId done = rt.CreateBarrier();
     rt.BeginParallel();
-    for (int i = 0; i < 12; ++i) {
-      rt.Acquire(lock);
-      counter[0] = counter.Get(0) + 1;
+    // Every third acquire is shared, so exclusive and shared holders contend for one lock.
+    // Shared holders only read; no node may ever see the counter go backwards.
+    int64_t last_seen = 0;
+    for (int i = 0; i < 18; ++i) {
+      const bool shared = i % 3 == 2;
+      rt.Acquire(lock, shared ? LockMode::kShared : LockMode::kExclusive);
+      const int64_t seen = counter.Get(0);
+      if (seen < last_seen) regressions.fetch_add(1);
+      last_seen = seen;
+      if (!shared) counter[0] = ++last_seen;
       rt.Release(lock);
     }
     rt.BarrierWait(done);
@@ -206,6 +215,7 @@ TEST_P(PartitionSurvivalTest, ContendedCounterSurvivesPartitions) {
     rt.BarrierWait(done);
   });
   EXPECT_EQ(observed, 4 * 12) << "lost increments under partition seed " << seed;
+  EXPECT_EQ(regressions.load(), 0) << "a read went backwards under partition seed " << seed;
   const auto invariants = system.Invariants();
   EXPECT_EQ(invariants.exactly_once_violations + invariants.incarnation_violations, 0u)
       << invariants.first_violation;

@@ -159,6 +159,35 @@ TEST_P(PageTableTest, MarkCleanAllowsRefault) {
   EXPECT_EQ(table.fault_count(), 2u);
 }
 
+// The communication thread may diff a page (for a lock it is granting) while the application
+// thread is faulting the same page in for data bound to another lock. The hook runs in the
+// fault path between claiming the page and copying its twin, exactly where such a reader can
+// interleave: the page must not yet read as dirty, or the reader diffs against a missing
+// (lazy twins) or half-copied (preallocated twins) twin.
+TEST_P(PageTableTest, PageIsNotDirtyUntilTwinIsComplete) {
+  Region region(0, 2 * 4096, 8, true);
+  PageTable table(&region, 4096, GetParam());
+  std::memset(region.data(), 0x5A, region.size());
+  struct Seen {
+    bool called = false;
+    bool dirty_before_twin = false;
+  } seen;
+  table.SetClaimHookForTesting(
+      [](PageTable* t, size_t page, void* arg) {
+        auto* s = static_cast<Seen*>(arg);
+        s->called = true;
+        s->dirty_before_twin = t->IsDirty(page);
+      },
+      &seen);
+  EXPECT_TRUE(table.FaultIn(1));
+  EXPECT_TRUE(seen.called);
+  EXPECT_FALSE(seen.dirty_before_twin);
+  EXPECT_TRUE(table.IsDirty(1));
+  ASSERT_NE(table.Twin(1), nullptr);
+  EXPECT_EQ(std::memcmp(table.Twin(1), region.data() + 4096, 4096), 0);
+  EXPECT_FALSE(table.FaultIn(1));  // a claimed-then-dirty page is not claimed twice
+}
+
 TEST_P(PageTableTest, PartialLastPage) {
   Region region(0, 4096 + 100, 8, true);
   PageTable table(&region, 4096, GetParam());

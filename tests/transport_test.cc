@@ -1,4 +1,7 @@
-// Transport tests: in-process mailboxes and the epoll event-loop TCP mesh.
+// Transport tests: in-process mailboxes and the epoll event-loop TCP mesh, both with every
+// node local and as single-rank endpoints that adopt already-connected sockets.
+#include <sys/socket.h>
+
 #include <atomic>
 #include <thread>
 
@@ -205,6 +208,109 @@ TEST(EpollTransportTest, BackpressureUnderOneSidedFlood) {
     EXPECT_EQ(p.bytes()[0], static_cast<std::byte>(i & 0xFF));
   }
   sender.join();
+}
+
+// Single-rank endpoints, one per node, each adopting its ends of a socketpair per link: the
+// shape RunDistributedNode builds across processes, here inside one process.
+std::vector<std::unique_ptr<EpollTransport>> AdoptedMesh(NodeId n) {
+  std::vector<std::vector<int>> fds(n, std::vector<int>(n, -1));
+  for (NodeId i = 0; i < n; ++i) {
+    for (NodeId j = i + 1; j < n; ++j) {
+      int sv[2];
+      EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+      fds[i][j] = sv[0];
+      fds[j][i] = sv[1];
+    }
+  }
+  std::vector<std::unique_ptr<EpollTransport>> mesh;
+  for (NodeId i = 0; i < n; ++i) {
+    mesh.push_back(std::make_unique<EpollTransport>(i, n, fds[i]));
+  }
+  return mesh;
+}
+
+TEST(AdoptedSocketsTest, FifoPerPairWithTwoSenders) {
+  auto mesh = AdoptedMesh(3);
+  constexpr int kPer = 300;
+  std::thread sender0([&] {
+    for (int i = 0; i < kPer; ++i) mesh[0]->Send(0, 2, Payload({0, i & 0xFF, i >> 8}));
+  });
+  std::thread sender1([&] {
+    for (int i = 0; i < kPer; ++i) mesh[1]->Send(1, 2, Payload({1, i & 0xFF, i >> 8}));
+  });
+  int next[2] = {0, 0};
+  for (int k = 0; k < 2 * kPer; ++k) {
+    Packet p;
+    ASSERT_TRUE(mesh[2]->Recv(2, &p));
+    ASSERT_LT(p.src, 2);
+    const int seq = static_cast<int>(p.bytes()[1]) | (static_cast<int>(p.bytes()[2]) << 8);
+    EXPECT_EQ(static_cast<NodeId>(p.bytes()[0]), p.src);
+    EXPECT_EQ(seq, next[p.src]++) << "from node " << p.src;
+  }
+  sender0.join();
+  sender1.join();
+  EXPECT_EQ(next[0], kPer);
+  EXPECT_EQ(next[1], kPer);
+}
+
+TEST(AdoptedSocketsTest, SelfSend) {
+  auto mesh = AdoptedMesh(3);
+  mesh[1]->Send(1, 1, Payload({7, 8}));
+  Packet p;
+  ASSERT_TRUE(mesh[1]->Recv(1, &p));
+  EXPECT_EQ(p.src, 1);
+  EXPECT_EQ(BytesOf(p), Payload({7, 8}));
+}
+
+// A SendV frame several times the pooled receive-buffer size, gathered from uneven segments,
+// arrives byte-exact.
+TEST(AdoptedSocketsTest, LargeSendVFrameIsByteExact) {
+  auto mesh = AdoptedMesh(3);
+  SplitMix64 rng(5);
+  std::vector<std::byte> big((3 << 20) / 2 + 17);
+  for (auto& b : big) b = static_cast<std::byte>(rng.Next());
+  const std::span<const std::byte> all(big);
+  const std::span<const std::byte> segments[] = {
+      all.subspan(0, 3), all.subspan(3, 300'000), all.subspan(300'003)};
+  std::thread sender([&] { mesh[0]->SendV(0, 2, segments); });
+  Packet p;
+  ASSERT_TRUE(mesh[2]->Recv(2, &p));
+  sender.join();
+  EXPECT_EQ(p.src, 0);
+  EXPECT_EQ(BytesOf(p), big);
+  EXPECT_EQ(mesh[0]->BytesSent(), big.size());
+}
+
+TEST(AdoptedSocketsTest, ShutdownUnblocksBlockedRecv) {
+  auto mesh = AdoptedMesh(3);
+  std::atomic<bool> returned{false};
+  std::thread receiver([&] {
+    Packet p;
+    EXPECT_FALSE(mesh[0]->Recv(0, &p));
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  mesh[0]->Shutdown();
+  receiver.join();
+  EXPECT_TRUE(returned.load());
+}
+
+// A peer process that shuts down and exits first (as ranks do after their final barrier) is
+// a normal end of the link, not an error: no warning, even when its close is a reset.
+TEST(AdoptedSocketsTest, PeerExitingFirstLogsNoWarning) {
+  auto mesh = AdoptedMesh(2);
+  mesh[0]->Shutdown();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // node 0's loop has stopped
+  mesh[1]->Send(1, 0, Payload({1}));  // left unread, so closing node 0's socket resets it
+  ::testing::internal::CaptureStderr();
+  mesh[0].reset();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  mesh[1]->Send(1, 0, Payload({2}));  // to a closed peer
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  mesh[1].reset();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(log.find("[W "), std::string::npos) << log;
 }
 
 }  // namespace
