@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/apps/apps.h"
+#include "src/common/json_writer.h"
 #include "src/common/options.h"
 #include "src/common/table.h"
 
@@ -81,6 +82,17 @@ inline bool MaybeWriteCsv(const Options& options, const std::string& name,
   }
   std::printf("wrote %s\n", path.c_str());
   return true;
+}
+
+// Writes a finished BENCH_*.json document to `path`.
+inline void WriteJsonFile(const std::string& path, const JsonWriter& w) {
+  std::ofstream out(path);
+  out << w.str();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return;
+  }
+  std::printf("wrote %s\n", path.c_str());
 }
 
 inline void PrintHeader(const std::string& title, const SuiteOptions& opts) {

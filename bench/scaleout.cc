@@ -13,7 +13,6 @@
 // BENCH_scaleout.json (schema midway-scaleout/v1, documented in EXPERIMENTS.md). Span
 // histograms (PR 5) attribute per-phase latency at every node count.
 #include <cinttypes>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -192,79 +191,63 @@ std::vector<uint16_t> ParseNodeCounts(const std::string& arg) {
   return counts;
 }
 
-void EmitBarrierPhase(std::ostream& out, const BarrierPhasePoint& p, const char* indent) {
-  out << indent << "{\"fanout\": " << p.fanout << ", \"rounds\": " << p.rounds
-      << ", \"verified\": " << (p.verified ? "true" : "false")
-      << ", \"elapsed_sec\": " << p.elapsed_sec
-      << ", \"barrier_crossings\": " << p.barrier_crossings
-      << ", \"release_builds\": " << p.release_builds
-      << ", \"enter_forwards\": " << p.enter_forwards
-      << ", \"wait_mean_ns\": " << p.wait_mean_ns << ", \"wait_p50_ns\": " << p.wait_p50_ns
-      << ", \"wait_p99_ns\": " << p.wait_p99_ns << "}";
+void EmitBarrierPhase(JsonWriter& w, const BarrierPhasePoint& p) {
+  w.BeginObject().Field("fanout", p.fanout).Field("rounds", p.rounds);
+  w.Field("verified", p.verified).Field("elapsed_sec", p.elapsed_sec);
+  w.Field("barrier_crossings", p.barrier_crossings).Field("release_builds", p.release_builds);
+  w.Field("enter_forwards", p.enter_forwards).Field("wait_mean_ns", p.wait_mean_ns);
+  w.Field("wait_p50_ns", p.wait_p50_ns).Field("wait_p99_ns", p.wait_p99_ns).EndObject();
+}
+
+void EmitPoint(JsonWriter& w, const CurvePoint& p) {
+  w.BeginObject().Field("nodes", p.nodes).Field("sync_ops", p.sync_ops);
+  w.Field("elapsed_sec", p.elapsed_sec).Field("sync_ops_per_sec", p.sync_ops_per_sec);
+  w.Field("per_node_ops_per_sec", p.per_node_ops_per_sec);
+  w.Field("payload_bytes_copied", p.payload_bytes_copied);
+  w.Field("recv_bytes_copied", p.recv_bytes_copied).Field("wire_bytes", p.wire_bytes);
+  w.Field("all_verified", p.all_verified).Key("apps").BeginArray();
+  for (const AppPoint& a : p.apps) {
+    w.BeginObject().Field("name", a.name).Field("verified", a.verified);
+    w.Field("elapsed_sec", a.elapsed_sec).Field("sync_ops", a.sync_ops);
+    w.Field("lock_acquires", a.lock_acquires);
+    w.Field("barrier_crossings", a.barrier_crossings).EndObject();
+  }
+  w.EndArray().Key("spans").BeginArray();
+  for (const SpanPoint& s : p.spans) {
+    w.BeginObject().Field("name", s.name).Field("count", s.count).Field("mean_ns", s.mean_ns);
+    w.Field("p50_ns", s.p50_ns).Field("p99_ns", s.p99_ns).EndObject();
+  }
+  w.EndArray().EndObject();
 }
 
 void WriteJson(const std::string& path, const std::vector<CurvePoint>& curve,
                const CurvePoint* tcp_probe, uint16_t barrier_nodes,
                const BarrierPhasePoint* tree, const BarrierPhasePoint* star,
                bool checks_passed) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  auto emit_point = [&](const CurvePoint& p, const char* indent) {
-    out << indent << "{\"nodes\": " << p.nodes << ", \"sync_ops\": " << p.sync_ops
-        << ", \"elapsed_sec\": " << p.elapsed_sec
-        << ", \"sync_ops_per_sec\": " << p.sync_ops_per_sec
-        << ", \"per_node_ops_per_sec\": " << p.per_node_ops_per_sec
-        << ", \"payload_bytes_copied\": " << p.payload_bytes_copied
-        << ", \"recv_bytes_copied\": " << p.recv_bytes_copied
-        << ", \"wire_bytes\": " << p.wire_bytes
-        << ", \"all_verified\": " << (p.all_verified ? "true" : "false") << ",\n";
-    out << indent << " \"apps\": [";
-    for (size_t i = 0; i < p.apps.size(); ++i) {
-      const AppPoint& a = p.apps[i];
-      out << (i ? ", " : "") << "{\"name\": \"" << a.name
-          << "\", \"verified\": " << (a.verified ? "true" : "false")
-          << ", \"elapsed_sec\": " << a.elapsed_sec << ", \"sync_ops\": " << a.sync_ops
-          << ", \"lock_acquires\": " << a.lock_acquires
-          << ", \"barrier_crossings\": " << a.barrier_crossings << "}";
-    }
-    out << "],\n" << indent << " \"spans\": [";
-    for (size_t i = 0; i < p.spans.size(); ++i) {
-      const SpanPoint& s = p.spans[i];
-      out << (i ? ", " : "") << "{\"name\": \"" << s.name << "\", \"count\": " << s.count
-          << ", \"mean_ns\": " << s.mean_ns << ", \"p50_ns\": " << s.p50_ns
-          << ", \"p99_ns\": " << s.p99_ns << "}";
-    }
-    out << "]}";
-  };
-  out << "{\n  \"schema\": \"midway-scaleout/v1\",\n  \"mode\": \"RT\",\n  \"points\": [\n";
-  for (size_t i = 0; i < curve.size(); ++i) {
-    emit_point(curve[i], "    ");
-    out << (i + 1 < curve.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
+  JsonWriter w;
+  w.BeginObject().Field("schema", "midway-scaleout/v1").Field("mode", "RT");
+  w.Key("points").BeginArray();
+  for (const CurvePoint& p : curve) EmitPoint(w, p);
+  w.EndArray();
   if (tcp_probe != nullptr) {
-    out << "  \"tcp_probe\":\n";
-    emit_point(*tcp_probe, "    ");
-    out << ",\n";
+    w.Key("tcp_probe");
+    EmitPoint(w, *tcp_probe);
   }
   if (tree != nullptr && star != nullptr) {
-    out << "  \"barrier_phase\": {\"nodes\": " << barrier_nodes << ",\n    \"tree\":\n";
-    EmitBarrierPhase(out, *tree, "    ");
-    out << ",\n    \"star\":\n";
-    EmitBarrierPhase(out, *star, "    ");
-    out << ",\n    \"wait_mean_ratio\": "
-        << (star->wait_mean_ns > 0 ? tree->wait_mean_ns / star->wait_mean_ns : 0.0)
-        << ",\n    \"wait_p99_ratio\": "
-        << (star->wait_p99_ns > 0
+    w.Key("barrier_phase").BeginObject().Field("nodes", barrier_nodes).Key("tree");
+    EmitBarrierPhase(w, *tree);
+    w.Key("star");
+    EmitBarrierPhase(w, *star);
+    w.Field("wait_mean_ratio",
+            star->wait_mean_ns > 0 ? tree->wait_mean_ns / star->wait_mean_ns : 0.0);
+    w.Field("wait_p99_ratio",
+            star->wait_p99_ns > 0
                 ? static_cast<double>(tree->wait_p99_ns) / static_cast<double>(star->wait_p99_ns)
-                : 0.0)
-        << "\n  },\n";
+                : 0.0);
+    w.EndObject();
   }
-  out << "  \"checks_passed\": " << (checks_passed ? "true" : "false") << "\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+  w.Field("checks_passed", checks_passed).EndObject();
+  WriteJsonFile(path, w);
 }
 
 void Run(int argc, char** argv) {

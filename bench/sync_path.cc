@@ -10,7 +10,6 @@
 // (schema midway-sync-path/v1, documented in EXPERIMENTS.md).
 #include <cinttypes>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -324,42 +323,30 @@ std::vector<E2eRow> RunE2eSection(bool full) {
 void WriteJson(const std::string& path, const std::vector<DiffRow>& diff,
                const std::vector<CollectRow>& collect, const std::vector<E2eRow>& e2e,
                bool checks_passed) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+  JsonWriter w;
+  w.BeginObject().Field("schema", "midway-sync-path/v1");
+  w.Field("best_diff_impl", DiffImplName(BestDiffImpl())).Key("diff").BeginArray();
+  for (const DiffRow& r : diff) {
+    w.BeginObject().Field("impl", r.impl).Field("shape", r.shape);
+    w.Field("page_bytes", r.page_bytes).Field("gbps", r.gbps);
+    w.Field("speedup_vs_scalar", r.speedup).EndObject();
   }
-  out << "{\n  \"schema\": \"midway-sync-path/v1\",\n";
-  out << "  \"best_diff_impl\": \"" << DiffImplName(BestDiffImpl()) << "\",\n";
-  out << "  \"diff\": [\n";
-  for (size_t i = 0; i < diff.size(); ++i) {
-    const DiffRow& r = diff[i];
-    out << "    {\"impl\": \"" << r.impl << "\", \"shape\": \"" << r.shape
-        << "\", \"page_bytes\": " << r.page_bytes << ", \"gbps\": " << r.gbps
-        << ", \"speedup_vs_scalar\": " << r.speedup << "}"
-        << (i + 1 < diff.size() ? "," : "") << "\n";
+  w.EndArray().Key("collect").BeginArray();
+  for (const CollectRow& r : collect) {
+    w.BeginObject().Field("pattern", r.pattern).Field("lines", r.lines);
+    w.Field("dirty", r.dirty).Field("ns_per_line", r.ns_per_line);
+    w.Field("summary_word_skips", r.summary_skips).EndObject();
   }
-  out << "  ],\n  \"collect\": [\n";
-  for (size_t i = 0; i < collect.size(); ++i) {
-    const CollectRow& r = collect[i];
-    out << "    {\"pattern\": \"" << r.pattern << "\", \"lines\": " << r.lines
-        << ", \"dirty\": " << r.dirty << ", \"ns_per_line\": " << r.ns_per_line
-        << ", \"summary_word_skips\": " << r.summary_skips << "}"
-        << (i + 1 < collect.size() ? "," : "") << "\n";
+  w.EndArray().Key("e2e").BeginArray();
+  for (const E2eRow& r : e2e) {
+    w.BeginObject().Field("app", r.app).Field("updates", r.updates);
+    w.Field("payload_bytes", r.payload_bytes).Field("wire_bytes", r.wire_bytes);
+    w.Field("overhead_bytes_per_update", r.overhead_per_update);
+    w.Field("send_payload_bytes_copied", r.send_bytes_copied);
+    w.Field("throughput_mbps", r.mbps).Field("verified", r.correct).EndObject();
   }
-  out << "  ],\n  \"e2e\": [\n";
-  for (size_t i = 0; i < e2e.size(); ++i) {
-    const E2eRow& r = e2e[i];
-    out << "    {\"app\": \"" << r.app << "\", \"updates\": " << r.updates
-        << ", \"payload_bytes\": " << r.payload_bytes << ", \"wire_bytes\": " << r.wire_bytes
-        << ", \"overhead_bytes_per_update\": " << r.overhead_per_update
-        << ", \"send_payload_bytes_copied\": " << r.send_bytes_copied
-        << ", \"throughput_mbps\": " << r.mbps
-        << ", \"verified\": " << (r.correct ? "true" : "false") << "}"
-        << (i + 1 < e2e.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"checks_passed\": " << (checks_passed ? "true" : "false") << "\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+  w.EndArray().Field("checks_passed", checks_passed).EndObject();
+  WriteJsonFile(path, w);
 }
 
 void Run(int argc, char** argv) {

@@ -150,28 +150,20 @@ void Run(int argc, char** argv) {
   // Machine-readable output for the CI perf-smoke artifact (see EXPERIMENTS.md).
   const std::string json_path = options.GetString("json", "");
   if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    if (!json) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    } else {
-      json << "{\n  \"schema\": \"midway-write-latency/v1\",\n  \"elements\": " << elements
-           << ",\n  \"repeats\": " << repeats << ",\n  \"modes\": [\n";
-      for (size_t i = 0; i < results.size(); ++i) {
-        const LatencyResult& r = results[i].second;
-        const double overhead =
-            baseline.warm_ns > 0 ? r.warm_ns / baseline.warm_ns - 1.0 : 0.0;
-        json << "    {\"mode\": \"" << DetectionModeName(results[i].first)
-             << "\", \"cold_ns_per_write\": " << r.cold_ns
-             << ", \"warm_ns_per_write\": " << r.warm_ns
-             << ", \"warm_overhead_vs_raw\": " << overhead
-             << ", \"write_faults\": " << r.totals.write_faults
-             << ", \"dirtybits_set\": " << r.totals.dirtybits_set << "}"
-             << (i + 1 < results.size() ? "," : "") << "\n";
-      }
-      json << "  ],\n  \"spans\": {\"off_warm_ns_per_write\": " << spans_off.warm_ns
-           << ", \"on_warm_ns_per_write\": " << spans_on.warm_ns << "}\n}\n";
-      std::printf("wrote %s\n", json_path.c_str());
+    JsonWriter w;
+    w.BeginObject().Field("schema", "midway-write-latency/v1");
+    w.Field("elements", elements).Field("repeats", repeats).Key("modes").BeginArray();
+    for (const auto& [mode, r] : results) {
+      const double overhead = baseline.warm_ns > 0 ? r.warm_ns / baseline.warm_ns - 1.0 : 0.0;
+      w.BeginObject().Field("mode", DetectionModeName(mode));
+      w.Field("cold_ns_per_write", r.cold_ns).Field("warm_ns_per_write", r.warm_ns);
+      w.Field("warm_overhead_vs_raw", overhead).Field("write_faults", r.totals.write_faults);
+      w.Field("dirtybits_set", r.totals.dirtybits_set).EndObject();
     }
+    w.EndArray().Key("spans").BeginObject();
+    w.Field("off_warm_ns_per_write", spans_off.warm_ns);
+    w.Field("on_warm_ns_per_write", spans_on.warm_ns).EndObject().EndObject();
+    WriteJsonFile(json_path, w);
   }
   if (options.GetBool("check-obs", false)) {
     const double ratio = spans_off.warm_ns > 0 ? spans_on.warm_ns / spans_off.warm_ns : 1.0;

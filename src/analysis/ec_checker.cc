@@ -24,8 +24,8 @@ std::string DescribeRange(const GlobalRange& r) {
 
 }  // namespace
 
-EcChecker::EcChecker(NodeId self, uint32_t max_reports, Counters* counters)
-    : self_(self), counters_(counters), sink_(self, max_reports, counters) {}
+EcChecker::EcChecker(NodeId self, Counters* counters)
+    : self_(self), counters_(counters), sink_(self, counters) {}
 
 void EcChecker::OnRegion(RegionId region, uint32_t line_shift, bool shared,
                          uint64_t data_size) {

@@ -114,7 +114,7 @@ struct EcViolation {
 // Aggregated verdict: per-kind counts plus the retained (capped) detail reports.
 struct EcSummary {
   std::array<uint64_t, kNumEcViolationKinds> counts{};
-  std::vector<EcViolation> reports;  // capped at the checker's max_reports
+  std::vector<EcViolation> reports;  // capped at kEcMaxReports
   uint64_t dropped = 0;              // findings beyond the cap (counted, not detailed)
 
   uint64_t total() const {
@@ -132,12 +132,14 @@ std::string FormatEcReport(const EcSummary& summary);
 // Serializes the summary as a JSON object (the CI artifact format; see docs/TESTING.md).
 std::string EcSummaryToJson(const EcSummary& summary);
 
+// Detail reports retained per runtime; findings beyond the cap are counted, not detailed.
+inline constexpr uint32_t kEcMaxReports = 64;
+
 // Collects violations for one runtime: per-kind counts, capped detail list, and the
 // corresponding ec_* counter bumps. Thread-compatible; the owning EcChecker serializes.
 class ViolationSink {
  public:
-  ViolationSink(NodeId node, uint32_t max_reports, Counters* counters)
-      : node_(node), max_reports_(max_reports), counters_(counters) {}
+  ViolationSink(NodeId node, Counters* counters) : node_(node), counters_(counters) {}
 
   // Records the violation (stamping `node`); returns 1 (every call is a new finding — the
   // checker dedups *before* calling).
@@ -147,7 +149,6 @@ class ViolationSink {
 
  private:
   const NodeId node_;
-  const uint32_t max_reports_;
   Counters* counters_;
   EcSummary summary_;
 };
@@ -156,7 +157,7 @@ class ViolationSink {
 // documents the shadow record layout and the lockset rules.
 class EcChecker {
  public:
-  EcChecker(NodeId self, uint32_t max_reports, Counters* counters);
+  EcChecker(NodeId self, Counters* counters);
 
   // --- Setup phase (and binding installs/rebinds during the parallel phase) ---------------
   void OnRegion(RegionId region, uint32_t line_shift, bool shared, uint64_t data_size);

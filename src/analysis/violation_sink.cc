@@ -1,31 +1,10 @@
 #include <sstream>
 
 #include "src/analysis/ec_checker.h"
+#include "src/common/json_writer.h"
 
 namespace midway {
 namespace {
-
-void AppendJsonString(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 std::string DescribeSite(const EcSite& site) {
   if (!site.known()) return "(via proxy write; enable site capture with Set/CheckedGet)";
@@ -71,7 +50,7 @@ uint64_t ViolationSink::Add(EcViolation v) {
       case EcViolationKind::kStaleRead: counters_->ec_stale_reads.fetch_add(1, std::memory_order_relaxed); break;
     }
   }
-  if (summary_.reports.size() < max_reports_) {
+  if (summary_.reports.size() < kEcMaxReports) {
     summary_.reports.push_back(std::move(v));
   } else {
     summary_.dropped++;
@@ -109,31 +88,23 @@ std::string FormatEcReport(const EcSummary& summary) {
 }
 
 std::string EcSummaryToJson(const EcSummary& summary) {
-  std::ostringstream os;
-  os << "{\n  \"total\": " << summary.total() << ",\n  \"dropped\": " << summary.dropped
-     << ",\n  \"counts\": {";
+  JsonWriter w;
+  w.BeginObject().Field("total", summary.total()).Field("dropped", summary.dropped);
+  w.Key("counts").BeginObject();
   for (size_t i = 0; i < kNumEcViolationKinds; ++i) {
-    if (i != 0) os << ", ";
-    os << "\"" << EcViolationKindName(static_cast<EcViolationKind>(i))
-       << "\": " << summary.counts[i];
+    w.Field(EcViolationKindName(static_cast<EcViolationKind>(i)), summary.counts[i]);
   }
-  os << "},\n  \"reports\": [";
-  for (size_t i = 0; i < summary.reports.size(); ++i) {
-    const EcViolation& v = summary.reports[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"kind\": \"" << EcViolationKindName(v.kind)
-       << "\", \"node\": " << v.node << ", \"region\": " << v.region
-       << ", \"offset\": " << v.offset << ", \"length\": " << v.length
-       << ", \"lamport\": " << v.lamport;
-    if (v.sync_a != kNoSyncObject) os << ", \"sync_a\": " << v.sync_a;
-    if (v.sync_b != kNoSyncObject) os << ", \"sync_b\": " << v.sync_b;
-    os << ", \"site\": ";
-    AppendJsonString(os, DescribeSite(v.site));
-    os << ", \"detail\": ";
-    AppendJsonString(os, v.detail);
-    os << "}";
+  w.EndObject().Key("reports").BeginArray();
+  for (const EcViolation& v : summary.reports) {
+    w.BeginObject().Field("kind", EcViolationKindName(v.kind)).Field("node", v.node);
+    w.Field("region", v.region).Field("offset", v.offset).Field("length", v.length);
+    w.Field("lamport", v.lamport);
+    if (v.sync_a != kNoSyncObject) w.Field("sync_a", v.sync_a);
+    if (v.sync_b != kNoSyncObject) w.Field("sync_b", v.sync_b);
+    w.Field("site", DescribeSite(v.site)).Field("detail", v.detail).EndObject();
   }
-  os << (summary.reports.empty() ? "]" : "\n  ]") << "\n}\n";
-  return os.str();
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 }  // namespace midway

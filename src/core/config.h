@@ -95,11 +95,6 @@ struct SystemConfig {
   bool reliable_channel = false;
   uint32_t rel_initial_rto_us = 2'000;   // first retransmission timeout
   uint32_t rel_max_rto_us = 50'000;      // exponential backoff cap
-  // Total retransmission rounds per peer before the channel gives up, abandons the unacked
-  // window, and reports the peer unreachable (0 = retry forever, the pre-PR-2 behavior).
-  // The default tolerates ~2s of silence at the backoff cap — far beyond any injected fault
-  // short of a real crash.
-  uint32_t rel_max_retransmit_rounds = 60;
 
   // --- Crash survival -------------------------------------------------------------------
   // Heartbeat failure detection (src/sync/failure_detector.h). The suspect/dead thresholds
@@ -112,7 +107,6 @@ struct SystemConfig {
   uint32_t hb_floor_us = 1'000;      // lower bound on the RTT-derived window (scheduler noise)
   uint32_t hb_suspect_mult = 8;      // windows of silence before Alive -> Suspect
   uint32_t hb_dead_mult = 25;        // windows of silence before Suspect -> Dead
-  uint32_t hb_exonerate_mult = 4;    // windows a Dead -> Alive flip holds off re-suspicion
   uint32_t hb_startup_grace_mult = 1;  // threshold scale before first contact (0 = no verdict)
 
   // Barrier behavior when a participant dies (see BarrierPolicy).
@@ -143,8 +137,6 @@ struct SystemConfig {
   // When nonempty, System teardown writes the aggregated findings as JSON here (the CI
   // artifact; see docs/TESTING.md).
   std::string ec_report_path;
-  // Detail reports retained per runtime; findings beyond the cap are counted, not detailed.
-  uint32_t ec_max_reports = 64;
 };
 
 }  // namespace midway

@@ -13,7 +13,6 @@ ReliableChannel::ReliableChannel(Transport* transport, NodeId self, const System
       self_(self),
       initial_rto_us_(config.rel_initial_rto_us),
       max_rto_us_(config.rel_max_rto_us),
-      max_retransmit_rounds_(config.rel_max_retransmit_rounds),
       counters_(counters),
       self_inc_(self_inc),
       peers_(transport->NumNodes()) {
@@ -156,7 +155,7 @@ void ReliableChannel::RetransmitLoop() {
       if (peer.rto_us == 0 || now < peer.rto_deadline || peer.unacked.empty()) continue;
       // Retransmit cap: after this many rounds with zero ack progress, stop burning the wire
       // on a peer that is plainly gone — abandon the window and surface the verdict.
-      if (max_retransmit_rounds_ > 0 && peer.retransmit_rounds >= max_retransmit_rounds_) {
+      if (peer.retransmit_rounds >= kMaxRetransmitRounds) {
         gave_up.push_back(GaveUp{dst, peer.unacked.size()});
         peer.unacked.clear();
         peer.rto_us = 0;

@@ -90,6 +90,11 @@ class ReliableChannel {
  private:
   using Clock = std::chrono::steady_clock;
 
+  // Retransmission rounds without ack progress before the channel abandons a peer's unacked
+  // window and reports the peer unreachable: ~2s of silence at the backoff cap, far beyond
+  // any injected fault short of a real crash.
+  static constexpr uint32_t kMaxRetransmitRounds = 60;
+
   struct Pending {
     uint32_t seq = 0;
     std::vector<std::byte> app_frame;
@@ -115,7 +120,6 @@ class ReliableChannel {
   const NodeId self_;
   const uint32_t initial_rto_us_;
   const uint32_t max_rto_us_;
-  const uint32_t max_retransmit_rounds_;  // 0 = retry forever
   Counters* const counters_;
   EventHook event_hook_;
 

@@ -61,7 +61,7 @@ Runtime::Runtime(const SystemConfig& config, NodeId self, Transport* transport,
   }
   if (config_.ec_check) {
 #ifdef MIDWAY_EC_CHECK
-    ec_ = std::make_unique<EcChecker>(self_, config_.ec_max_reports, &counters_);
+    ec_ = std::make_unique<EcChecker>(self_, &counters_);
 #else
     if (self_ == 0) {
       MIDWAY_LOG(Warn) << "SystemConfig::ec_check is set but the MIDWAY_EC_CHECK hooks are "
@@ -90,7 +90,6 @@ Runtime::Runtime(const SystemConfig& config, NodeId self, Transport* transport,
     opts.floor_us = config_.hb_floor_us;
     opts.suspect_mult = config_.hb_suspect_mult;
     opts.dead_mult = config_.hb_dead_mult;
-    opts.exonerate_grace_mult = config_.hb_exonerate_mult;
     opts.startup_grace_mult = config_.hb_startup_grace_mult;
     detector_ = std::make_unique<FailureDetector>(
         self_, static_cast<NodeId>(transport_->NumNodes()), opts,

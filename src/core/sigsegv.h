@@ -20,7 +20,7 @@ namespace midway {
 // Installs the process-wide SIGSEGV handler (idempotent, thread safe).
 void InstallSigsegvHandler();
 
-// Registers a region's data range for fault handling. `table` must use preallocated twins.
+// Registers a region's data range for fault handling.
 // The registration stays valid until UnregisterFaultRegion(begin).
 void RegisterFaultRegion(std::byte* begin, size_t length, PageTable* table, Region* region,
                          Counters* counters);

@@ -43,8 +43,7 @@ DetectionMode VmStrategy::mode() const {
 
 void VmStrategy::AttachRegion(Region* region) {
   if (!region->shared()) return;
-  const bool preallocate = backend_ != TrapBackend::kSoft;
-  auto table = std::make_unique<PageTable>(region, config_.page_size, preallocate);
+  auto table = std::make_unique<PageTable>(region, config_.page_size);
   region->header()->page_table = table.get();
   region->header()->page_shift = Log2(config_.page_size);
   if (backend_ == TrapBackend::kSigsegv) {
@@ -120,7 +119,6 @@ void VmStrategy::Collect(const Binding& binding, uint64_t since, uint64_t stamp_
       const uint32_t page_bytes = table->PageBytes(page);
       std::byte* data = table->PageData(page);
       std::byte* twin = table->MutableTwin(page);
-      MIDWAY_DCHECK(twin != nullptr);  // dirty => twin valid (PageTable invariant)
       // Diff the whole page against its twin (the paper's primitive), then clip the runs to
       // the window bound to this synchronization object.
       ComputeDiffInto({data, page_bytes}, {twin, page_bytes}, &runs);

@@ -25,13 +25,13 @@ namespace midway {
 class PageTable {
  public:
   // page_size: power of two; under the sigsegv backend it must be a multiple of the OS page
-  // size. preallocate_twins: allocate the whole twin arena up front so the SIGSEGV handler
-  // never allocates (required for the sigsegv backend).
-  PageTable(Region* region, uint32_t page_size, bool preallocate_twins);
+  // size. The twin arena (one page_size slot per page) is allocated up front, so FaultIn
+  // never allocates; a twinned page's slot stays resident until the table is destroyed.
+  PageTable(Region* region, uint32_t page_size);
 
   Region* region() { return region_; }
   uint32_t page_size() const { return page_size_; }
-  size_t num_pages() const { return entries_.size(); }
+  size_t num_pages() const { return states_.size(); }
 
   size_t PageOf(uint32_t offset) const { return offset >> page_shift_; }
   uint32_t PageBegin(size_t page) const { return static_cast<uint32_t>(page << page_shift_); }
@@ -39,13 +39,13 @@ class PageTable {
   uint32_t PageBytes(size_t page) const;
 
   bool IsDirty(size_t page) const {
-    return entries_[page].state.load(std::memory_order_acquire) == kDirty;
+    return states_[page].load(std::memory_order_acquire) == kDirty;
   }
 
   // The write-fault path: twin the page and mark it dirty. Returns true if this call
   // performed the transition (false if the page was already dirty). Does NOT touch page
   // protection — the caller owns that (soft backend: nothing; sigsegv backend: mprotect).
-  // Safe to call from a signal handler when twins are preallocated.
+  // Safe to call from a signal handler.
   bool FaultIn(size_t page);
 
   // Test hook: called by FaultIn after it has claimed `page` and before it copies the twin,
@@ -57,10 +57,10 @@ class PageTable {
   }
 
   std::byte* PageData(size_t page) { return region_->data() + PageBegin(page); }
-  const std::byte* Twin(size_t page) const;
-  std::byte* MutableTwin(size_t page);
+  const std::byte* Twin(size_t page) const { return twin_arena_.get() + PageBegin(page); }
+  std::byte* MutableTwin(size_t page) { return twin_arena_.get() + PageBegin(page); }
 
-  // Returns the page to the clean state and releases its twin (non-preallocated mode). Runs
+  // Returns the page to the clean state; its twin slot is reused by the next FaultIn. Runs
   // on the application thread (VmStrategy::RetirePage at a sync point, under the runtime
   // lock), the only thread that faults pages in, so it cannot overlap a FaultIn; the runtime
   // lock keeps it apart from collection on the communication thread.
@@ -74,17 +74,11 @@ class PageTable {
   static constexpr uint32_t kDirty = 1;
   static constexpr uint32_t kTwinning = 2;  // claimed by FaultIn, twin not yet complete
 
-  struct Entry {
-    std::atomic<uint32_t> state{kClean};
-    std::unique_ptr<std::byte[]> twin;  // unused when twins are preallocated
-  };
-
   Region* region_;
   uint32_t page_size_;
   uint32_t page_shift_;
-  bool preallocated_;
-  std::unique_ptr<std::byte[]> twin_arena_;  // preallocated mode: num_pages * page_size
-  std::vector<Entry> entries_;
+  std::unique_ptr<std::byte[]> twin_arena_;  // num_pages * page_size
+  std::vector<std::atomic<uint32_t>> states_;  // kClean / kTwinning / kDirty per page
   std::atomic<uint64_t> fault_count_{0};
   ClaimHook claim_hook_ = nullptr;
   void* claim_hook_arg_ = nullptr;

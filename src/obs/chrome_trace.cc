@@ -2,42 +2,22 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
+#include <string>
 #include <tuple>
+
+#include "src/common/json_writer.h"
 
 namespace midway {
 namespace obs {
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Trace Event Format timestamps are microseconds; keep nanosecond resolution as a
 // three-decimal fraction so back-to-back protocol steps do not collapse onto one tick.
-void AppendMicros(std::ostringstream& out, uint64_t ns) {
+std::string Micros(uint64_t ns) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%llu.%03u", static_cast<unsigned long long>(ns / 1000),
                 static_cast<unsigned>(ns % 1000));
-  out << buf;
+  return buf;
 }
 
 }  // namespace
@@ -50,40 +30,32 @@ std::string ChromeTraceJson(std::vector<ChromeTraceEvent> events, int num_nodes)
             });
   uint64_t base_ns = events.empty() ? 0 : events.front().start_ns;
 
-  std::ostringstream out;
-  out << "{\"traceEvents\":[\n";
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) out << ",\n";
-    first = false;
-  };
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray();
   for (int node = 0; node < num_nodes; ++node) {
-    sep();
-    out << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << node
-        << ",\"name\":\"thread_name\",\"args\":{\"name\":\"node " << node << "\"}}";
-    sep();
-    out << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << node
-        << ",\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":" << node << "}}";
+    w.BeginObject().Field("ph", "M").Field("pid", 0).Field("tid", node);
+    w.Field("name", "thread_name").Key("args").BeginObject();
+    w.Field("name", "node " + std::to_string(node)).EndObject().EndObject();
+    w.BeginObject().Field("ph", "M").Field("pid", 0).Field("tid", node);
+    w.Field("name", "thread_sort_index").Key("args").BeginObject();
+    w.Field("sort_index", node).EndObject().EndObject();
   }
   for (const ChromeTraceEvent& e : events) {
-    sep();
     const bool span = e.dur_ns > 0;
-    out << "{\"name\":\"" << JsonEscape(e.name) << "\",\"ph\":\"" << (span ? "X" : "i")
-        << "\",\"pid\":0,\"tid\":" << e.node << ",\"ts\":";
-    AppendMicros(out, e.start_ns - base_ns);
+    w.BeginObject().Field("name", e.name).Field("ph", span ? "X" : "i");
+    w.Field("pid", 0).Field("tid", e.node).Key("ts").RawNumber(Micros(e.start_ns - base_ns));
     if (span) {
-      out << ",\"dur\":";
-      AppendMicros(out, e.dur_ns);
+      w.Key("dur").RawNumber(Micros(e.dur_ns));
     } else {
-      out << ",\"s\":\"t\"";  // instant scoped to its thread (track)
+      w.Field("s", "t");  // instant scoped to its thread (track)
     }
-    out << ",\"args\":{\"lamport\":" << e.lamport << ",\"object\":" << e.object;
-    if (e.peer >= 0) out << ",\"peer\":" << e.peer;
-    if (e.detail_label != nullptr) out << ",\"" << e.detail_label << "\":" << e.detail;
-    out << "}}";
+    w.Key("args").BeginObject().Field("lamport", e.lamport).Field("object", e.object);
+    if (e.peer >= 0) w.Field("peer", e.peer);
+    if (e.detail_label != nullptr) w.Field(e.detail_label, e.detail);
+    w.EndObject().EndObject();
   }
-  out << "\n],\"displayTimeUnit\":\"ns\"}\n";
-  return out.str();
+  w.EndArray().Field("displayTimeUnit", "ns").EndObject();
+  return w.str();
 }
 
 }  // namespace obs

@@ -5,43 +5,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/common/json_writer.h"
+
 namespace midway {
 namespace obs {
 namespace {
-
-// Metric names and label values here are identifiers we mint ourselves, but escape anyway
-// so a future label value with a quote cannot corrupt the document.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void AppendJsonLabels(std::ostringstream& out, const MetricsRegistry::Labels& labels) {
-  out << "{";
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\"" << JsonEscape(labels[i].first) << "\":\"" << JsonEscape(labels[i].second)
-        << "\"";
-  }
-  out << "}";
-}
 
 std::string PromLabels(const MetricsRegistry::Labels& labels) {
   if (labels.empty()) return "";
@@ -67,46 +35,39 @@ void MetricsRegistry::AddHistogram(const std::string& name, const HistogramSnaps
 }
 
 std::string MetricsRegistry::ToJson() const {
-  std::ostringstream out;
-  out << "{\n  \"schema\": \"midway-metrics/v1\",\n  \"counters\": [\n";
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    const CounterEntry& c = counters_[i];
-    out << "    {\"name\": \"" << JsonEscape(c.name) << "\", \"value\": " << c.value;
+  JsonWriter w;
+  w.BeginObject().Field("schema", "midway-metrics/v1").Key("counters").BeginArray();
+  for (const CounterEntry& c : counters_) {
+    w.BeginObject().Field("name", c.name).Field("value", c.value);
     if (!c.labels.empty()) {
-      out << ", \"labels\": ";
-      AppendJsonLabels(out, c.labels);
+      w.Key("labels").BeginObject();
+      for (const auto& [key, value] : c.labels) w.Field(key, value);
+      w.EndObject();
     }
-    out << ", \"help\": \"" << JsonEscape(c.help) << "\"}"
-        << (i + 1 < counters_.size() ? "," : "") << "\n";
+    w.Field("help", c.help).EndObject();
   }
-  out << "  ],\n  \"histograms\": [\n";
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    const HistogramEntry& h = histograms_[i];
+  w.EndArray().Key("histograms").BeginArray();
+  for (const HistogramEntry& h : histograms_) {
     const HistogramSnapshot& s = h.snapshot;
-    out << "    {\"name\": \"" << JsonEscape(h.name) << "\", \"count\": " << s.count
-        << ", \"sum_ns\": " << s.sum_ns << ", \"max_ns\": " << s.max_ns
-        << ", \"mean_ns\": " << s.MeanNs() << ", \"p50_ns\": " << s.ApproxPercentileNs(0.50)
-        << ", \"p90_ns\": " << s.ApproxPercentileNs(0.90)
-        << ", \"p99_ns\": " << s.ApproxPercentileNs(0.99) << ",\n     \"buckets\": [";
+    w.BeginObject().Field("name", h.name).Field("count", s.count).Field("sum_ns", s.sum_ns);
+    w.Field("max_ns", s.max_ns).Field("mean_ns", s.MeanNs());
+    w.Field("p50_ns", s.ApproxPercentileNs(0.50)).Field("p90_ns", s.ApproxPercentileNs(0.90));
+    w.Field("p99_ns", s.ApproxPercentileNs(0.99)).Key("buckets").BeginArray();
     // Only non-empty buckets: 40 mostly-zero entries per histogram would dominate the dump.
-    bool first = true;
     for (size_t b = 0; b < HistogramSnapshot::kBuckets; ++b) {
       if (s.buckets[b] == 0) continue;
-      if (!first) out << ", ";
-      first = false;
-      out << "{\"le_ns\": ";
+      w.BeginObject().Key("le_ns");
       if (b + 1 == HistogramSnapshot::kBuckets) {
-        out << "\"+Inf\"";
+        w.String("+Inf");
       } else {
-        out << HistogramSnapshot::BucketUpperNs(b);
+        w.Uint(HistogramSnapshot::BucketUpperNs(b));
       }
-      out << ", \"count\": " << s.buckets[b] << "}";
+      w.Field("count", s.buckets[b]).EndObject();
     }
-    out << "],\n     \"help\": \"" << JsonEscape(h.help) << "\"}"
-        << (i + 1 < histograms_.size() ? "," : "") << "\n";
+    w.EndArray().Field("help", h.help).EndObject();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 std::string MetricsRegistry::ToPrometheus() const {

@@ -1,11 +1,15 @@
-// Unit tests for the common utilities: alignment, RNG determinism, options, tables,
-// Lamport clocks, and bindings.
+// Unit tests for the common utilities: alignment, RNG determinism, options, tables, the JSON
+// writer, Lamport clocks, and bindings.
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "src/common/align.h"
+#include "src/common/json_writer.h"
 #include "src/common/options.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
@@ -112,6 +116,33 @@ TEST(TableTest, NumberFormatting) {
   EXPECT_EQ(Table::Fixed(485.26, 1), "485.3");
   EXPECT_EQ(Table::Fixed(3103.9, 1), "3,103.9");
   EXPECT_EQ(Table::Micros(0.36), "0.360");
+}
+
+TEST(JsonWriterTest, EscapesStrings) {
+  JsonWriter w;
+  w.BeginObject().Field("s", std::string("q\"b\\c\rd\x01" "e\n\tf")).EndObject();
+  EXPECT_EQ(w.str(), "{\"s\":\"q\\\"b\\\\c\\rd\\u0001e\\n\\tf\"}\n");
+}
+
+TEST(JsonWriterTest, NestingPlacesSeparators) {
+  JsonWriter w;
+  w.BeginObject().Key("empty_obj").BeginObject().EndObject();
+  w.Key("empty_arr").BeginArray().EndArray();
+  w.Key("rows").BeginArray();
+  w.BeginObject().Field("a", 1).Key("inner").BeginArray().Int(2).Int(3).EndArray().EndObject();
+  w.BeginArray().EndArray();
+  w.EndArray().Field("ok", true).EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"empty_obj\":{},\"empty_arr\":[],\"rows\":[\n"
+            "{\"a\":1,\"inner\":[\n2,\n3]},\n[]],\"ok\":true}\n");
+}
+
+TEST(JsonWriterTest, Numbers) {
+  JsonWriter w;
+  w.BeginArray().Uint(std::numeric_limits<uint64_t>::max()).Int(-42).RawNumber("1.500");
+  w.Double(0.25).Double(std::nan("")).Double(std::numeric_limits<double>::infinity());
+  w.Double(-std::numeric_limits<double>::infinity()).EndArray();
+  EXPECT_EQ(w.str(), "[\n18446744073709551615,\n-42,\n1.500,\n0.25,\nnull,\nnull,\nnull]\n");
 }
 
 TEST(LamportClockTest, MonotoneTicks) {

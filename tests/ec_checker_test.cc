@@ -298,8 +298,8 @@ TEST(EcCheckerTest, JsonArtifactWritten) {
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string json = buf.str();
-  EXPECT_NE(json.find("\"total\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"unbound-write\": 1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"total\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"unbound-write\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("ec_checker_test"), std::string::npos) << json;
   std::remove(path.c_str());
 }

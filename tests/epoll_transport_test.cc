@@ -43,7 +43,9 @@ std::vector<std::byte> Encode(uint16_t src, const std::vector<std::byte>& payloa
   FillFrameHeader(header, static_cast<uint32_t>(payload.size()), src);
   std::vector<std::byte> wire(kFrameHeaderBytes + payload.size());
   std::memcpy(wire.data(), header, kFrameHeaderBytes);
-  std::memcpy(wire.data() + kFrameHeaderBytes, payload.data(), payload.size());
+  if (!payload.empty()) {  // an empty vector's data() may be null, which memcpy forbids
+    std::memcpy(wire.data() + kFrameHeaderBytes, payload.data(), payload.size());
+  }
   return wire;
 }
 

@@ -127,16 +127,9 @@ TEST(DirtybitTest, LineOf) {
 
 // --- PageTable ------------------------------------------------------------------------------
 
-class PageTableTest : public ::testing::TestWithParam<bool> {};  // preallocated twins?
-
-INSTANTIATE_TEST_SUITE_P(TwinModes, PageTableTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "preallocated" : "lazy";
-                         });
-
-TEST_P(PageTableTest, FaultInTwinsOnce) {
+TEST(PageTableTest, FaultInTwinsOnce) {
   Region region(0, 4 * 4096, 8, true);
-  PageTable table(&region, 4096, GetParam());
+  PageTable table(&region, 4096);
   std::memset(region.data(), 0x5A, region.size());
   EXPECT_FALSE(table.IsDirty(1));
   EXPECT_TRUE(table.FaultIn(1));
@@ -149,9 +142,9 @@ TEST_P(PageTableTest, FaultInTwinsOnce) {
   EXPECT_NE(std::memcmp(table.Twin(1), region.data() + 4096, 4096), 0);
 }
 
-TEST_P(PageTableTest, MarkCleanAllowsRefault) {
+TEST(PageTableTest, MarkCleanAllowsRefault) {
   Region region(0, 2 * 4096, 8, true);
-  PageTable table(&region, 4096, GetParam());
+  PageTable table(&region, 4096);
   EXPECT_TRUE(table.FaultIn(0));
   table.MarkClean(0);
   EXPECT_FALSE(table.IsDirty(0));
@@ -162,11 +155,11 @@ TEST_P(PageTableTest, MarkCleanAllowsRefault) {
 // The communication thread may diff a page (for a lock it is granting) while the application
 // thread is faulting the same page in for data bound to another lock. The hook runs in the
 // fault path between claiming the page and copying its twin, exactly where such a reader can
-// interleave: the page must not yet read as dirty, or the reader diffs against a missing
-// (lazy twins) or half-copied (preallocated twins) twin.
-TEST_P(PageTableTest, PageIsNotDirtyUntilTwinIsComplete) {
+// interleave: the page must not yet read as dirty, or the reader diffs against a
+// half-copied twin.
+TEST(PageTableTest, PageIsNotDirtyUntilTwinIsComplete) {
   Region region(0, 2 * 4096, 8, true);
-  PageTable table(&region, 4096, GetParam());
+  PageTable table(&region, 4096);
   std::memset(region.data(), 0x5A, region.size());
   struct Seen {
     bool called = false;
@@ -188,9 +181,9 @@ TEST_P(PageTableTest, PageIsNotDirtyUntilTwinIsComplete) {
   EXPECT_FALSE(table.FaultIn(1));  // a claimed-then-dirty page is not claimed twice
 }
 
-TEST_P(PageTableTest, PartialLastPage) {
+TEST(PageTableTest, PartialLastPage) {
   Region region(0, 4096 + 100, 8, true);
-  PageTable table(&region, 4096, GetParam());
+  PageTable table(&region, 4096);
   EXPECT_EQ(table.num_pages(), 2u);
   EXPECT_EQ(table.PageBytes(0), 4096u);
   EXPECT_EQ(table.PageBytes(1), 100u);
@@ -200,7 +193,7 @@ TEST_P(PageTableTest, PartialLastPage) {
 
 TEST(PageTableTest2, PageOfMath) {
   Region region(0, 1 << 16, 8, true);
-  PageTable table(&region, 4096, false);
+  PageTable table(&region, 4096);
   EXPECT_EQ(table.PageOf(0), 0u);
   EXPECT_EQ(table.PageOf(4095), 0u);
   EXPECT_EQ(table.PageOf(4096), 1u);

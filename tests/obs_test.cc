@@ -277,12 +277,12 @@ TEST(MetricsTest, JsonSchemaIsStable) {
   const std::string json = SampleRegistry().ToJson();
   EXPECT_TRUE(JsonBalanced(json)) << json;
   EXPECT_FALSE(HasTrailingComma(json)) << json;
-  EXPECT_NE(json.find("\"schema\": \"midway-metrics/v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"midway-metrics/v1\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\":"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\":"), std::string::npos);
-  EXPECT_NE(json.find("{\"name\": \"lock_acquires\", \"value\": 42"), std::string::npos);
-  EXPECT_NE(json.find("\"labels\": {\"lock\":\"3\"}"), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"span_grant_build_ns\", \"count\": 3"), std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"lock_acquires\",\"value\":42"), std::string::npos);
+  EXPECT_NE(json.find("\"labels\":{\"lock\":\"3\"}"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"span_grant_build_ns\",\"count\":3"), std::string::npos);
   // Percentiles are derivable fields of the dump, not recomputed by consumers.
   EXPECT_NE(json.find("\"p50_ns\":"), std::string::npos);
   EXPECT_NE(json.find("\"p99_ns\":"), std::string::npos);
@@ -458,7 +458,7 @@ TEST(ObsSystemTest, SpansPopulateHistogramsAndTraceRing) {
   EXPECT_NE(json.find("midway-metrics/v1"), std::string::npos);
   EXPECT_NE(json.find("span_acquire_wait_ns"), std::string::npos);
   EXPECT_NE(json.find("span_barrier_wait_ns"), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"lock_acquires\", \"value\": 6"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"lock_acquires\",\"value\":6"), std::string::npos);
   EXPECT_NE(json.find("per_lock_acquires"), std::string::npos);
 
   // Chrome trace: per-node tracks and complete events for the protocol spans.

@@ -6,7 +6,6 @@
 // optional --json report, supports --baseline suppressions, and maintains the golden wire
 // schema (--update-wire-golden). Exit: 0 clean, 1 findings, 2 usage/internal error.
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -17,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json_writer.h"
 #include "tools/midway_lint/rules.h"
 #include "tools/midway_lint/source_model.h"
 
@@ -163,47 +163,25 @@ bool Suppressed(const Finding& f, const std::vector<BaselineEntry>& baseline) {
   return false;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 bool WriteJson(const std::string& path, const std::vector<Finding>& findings,
                const std::vector<Finding>& suppressed, size_t files_scanned) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  out << "{\n  \"tool\": \"midway-lint\",\n  \"schema\": \"midway-lint/v1\",\n";
-  out << "  \"files_scanned\": " << files_scanned << ",\n";
-  auto dump = [&](const char* key, const std::vector<Finding>& list) {
-    out << "  \"" << key << "\": [";
-    for (size_t i = 0; i < list.size(); ++i) {
-      const Finding& f = list[i];
-      out << (i ? "," : "") << "\n    {\"file\": \"" << JsonEscape(f.file)
-          << "\", \"line\": " << f.line << ", \"rule\": \"" << JsonEscape(f.rule)
-          << "\", \"message\": \"" << JsonEscape(f.message) << "\"}";
+  midway::JsonWriter w;
+  w.BeginObject().Field("tool", "midway-lint").Field("schema", "midway-lint/v1");
+  w.Field("files_scanned", files_scanned);
+  const auto dump = [&w](const char* key, const std::vector<Finding>& list) {
+    w.Key(key).BeginArray();
+    for (const Finding& f : list) {
+      w.BeginObject().Field("file", f.file).Field("line", f.line).Field("rule", f.rule);
+      w.Field("message", f.message).EndObject();
     }
-    out << (list.empty() ? "" : "\n  ") << "]";
+    w.EndArray();
   };
   dump("findings", findings);
-  out << ",\n";
   dump("suppressed", suppressed);
-  out << "\n}\n";
+  w.EndObject();
+  out << w.str();
   return static_cast<bool>(out);
 }
 
