@@ -294,9 +294,7 @@ std::vector<E2eRow> RunE2eSection(bool full) {
       WireReader r(frame);
       UpdateSet decoded;
       MIDWAY_CHECK(DecodeUpdateSet(&r, &decoded));
-      for (const UpdateEntry& e : decoded) {
-        receiver.strategy->ApplyEntry(e);
-      }
+      receiver.strategy->Apply(decoded);
     }
     const double secs = sw.ElapsedSeconds();
     row.correct = std::memcmp(sender.region->data(), receiver.region->data(),

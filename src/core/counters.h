@@ -31,6 +31,7 @@ namespace midway {
   X(pages_diffed, "page-vs-twin comparisons")                                                \
   X(pages_write_protected, "pages returned to read-only after diff")                         \
   X(twin_bytes_updated, "incoming update bytes applied to twins")                            \
+  X(apply_protect_windows, "protection windows opened to apply updates to clean pages")     \
   X(full_data_sends, "grants that shipped full bound data")                                  \
   X(full_sends_rebind, "full sends because the binding changed")                             \
   X(full_sends_log_miss, "full sends because the log was trimmed short")                     \

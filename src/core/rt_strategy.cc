@@ -96,7 +96,11 @@ void RtStrategy::Collect(const Binding& binding, uint64_t since, uint64_t stamp_
   }
 }
 
-void RtStrategy::ApplyEntry(const UpdateEntry& entry) {
+void RtStrategy::Apply(std::span<const UpdateEntry> entries) {
+  for (const UpdateEntry& entry : entries) ApplyLines(entry);
+}
+
+void RtStrategy::ApplyLines(const UpdateEntry& entry) {
   Region* region = regions_->Get(entry.addr.region);
   DirtybitTable* db = region->dirtybits();
   MIDWAY_CHECK(db != nullptr);
@@ -290,14 +294,15 @@ void RtQueueStrategy::NoteWrite(RegionHeader* header, uint32_t offset, uint32_t 
   Enqueue(header->region_id, first, last);
 }
 
-void RtQueueStrategy::ApplyEntry(const UpdateEntry& entry) {
-  RtStrategy::ApplyEntry(entry);
+void RtQueueStrategy::Apply(std::span<const UpdateEntry> entries) {
+  RtStrategy::Apply(entries);
   // Applied updates become part of this processor's history: a later requester whose
   // last-seen time predates them must find their lines via the queue.
-  Region* region = regions_->Get(entry.addr.region);
-  const uint32_t shift = region->line_shift();
-  Enqueue(entry.addr.region, entry.addr.offset >> shift,
-          (entry.addr.offset + entry.length - 1) >> shift);
+  for (const UpdateEntry& entry : entries) {
+    const uint32_t shift = regions_->Get(entry.addr.region)->line_shift();
+    Enqueue(entry.addr.region, entry.addr.offset >> shift,
+            (entry.addr.offset + entry.length - 1) >> shift);
+  }
 }
 
 void RtQueueStrategy::Collect(const Binding& binding, uint64_t since, uint64_t stamp_ts,

@@ -33,13 +33,17 @@ class RtStrategy : public DetectionStrategy {
   void Collect(const Binding& binding, uint64_t since, uint64_t stamp_ts,
                UpdateSet* out) override;
 
-  void ApplyEntry(const UpdateEntry& entry) override;
+  void Apply(std::span<const UpdateEntry> entries) override;
 
  protected:
   // Scans lines covering region bytes [begin, end): stamps sentinels with stamp_ts, appends
   // coalesced entries for lines with ts > since, and updates the scan counters.
   void ScanRange(Region* region, uint32_t begin, uint32_t end, uint64_t since,
                  uint64_t stamp_ts, UpdateSet* out);
+
+ private:
+  // Applies each line of `entry` whose incoming timestamp beats the local one.
+  void ApplyLines(const UpdateEntry& entry);
 };
 
 // §3.5 extension: two-level dirtybits. Every store additionally sets a first-level "cover"
@@ -83,7 +87,7 @@ class RtQueueStrategy final : public RtStrategy {
   void NoteWrite(RegionHeader* header, uint32_t offset, uint32_t length) override;
   void Collect(const Binding& binding, uint64_t since, uint64_t stamp_ts,
                UpdateSet* out) override;
-  void ApplyEntry(const UpdateEntry& entry) override;
+  void Apply(std::span<const UpdateEntry> entries) override;
 
   // Test hooks.
   size_t QueueLength(RegionId id);

@@ -1043,9 +1043,7 @@ void Runtime::ApplyReleaseLocked(BarrierId barrier, BarrierRecord& b,
   uint64_t bytes = 0;
   for (const BarrierChunk& c : msg.chunks) {
     if (c.node == self_) continue;  // own writes are already in local memory
-    for (const UpdateEntry& entry : c.updates) {
-      strategy_->ApplyEntry(entry);
-    }
+    strategy_->Apply(c.updates);
     if (ec_) {
       // Barrier crossings refresh the lines they ship: clear the stale-read watermarks
       // (reading neighbour data between rounds is the normal idiom, never reported).
@@ -1162,9 +1160,7 @@ void Runtime::EcTraceLocked(uint64_t fresh, uint32_t object) {
 
 void Runtime::ApplyLoggedUpdates(const std::vector<LoggedUpdate>& updates) {
   for (const LoggedUpdate& logged : updates) {
-    for (const UpdateEntry& entry : logged.updates) {
-      strategy_->ApplyEntry(entry);
-    }
+    strategy_->Apply(logged.updates);
   }
 }
 

@@ -674,9 +674,7 @@ void Runtime::ReplayCheckpointLocked() {
   uint64_t max_lamport = 0;
   for (const CheckpointLog::Record& rec : result.records) {
     max_lamport = std::max(max_lamport, rec.lamport);
-    for (const UpdateEntry& entry : rec.updates) {
-      strategy_->ApplyEntry(entry);
-    }
+    strategy_->Apply(rec.updates);
     switch (rec.kind) {
       case CheckpointLog::Kind::kLockCollect:
       case CheckpointLog::Kind::kLockApply: {

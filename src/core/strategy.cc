@@ -9,8 +9,16 @@
 namespace midway {
 namespace {
 
+// Raw stores into the local copy: the apply path of kStandalone and kBlast, which keep no
+// detection state.
+void CopyEntries(RegionTable* regions, std::span<const UpdateEntry> entries) {
+  for (const UpdateEntry& entry : entries) {
+    std::memcpy(regions->Translate(entry.addr), entry.data.data(), entry.length);
+  }
+}
+
 // kStandalone: uniprocessor baseline with no write detection at all (Figure 2's standalone
-// bars). kBlast shares the apply path: raw stores into the local copy.
+// bars).
 class NullStrategy final : public DetectionStrategy {
  public:
   using DetectionStrategy::DetectionStrategy;
@@ -19,8 +27,8 @@ class NullStrategy final : public DetectionStrategy {
   void NoteWrite(RegionHeader* header, uint32_t offset, uint32_t length) override {}
   void Collect(const Binding& binding, uint64_t since, uint64_t stamp_ts,
                UpdateSet* out) override {}
-  void ApplyEntry(const UpdateEntry& entry) override {
-    std::memcpy(regions_->Translate(entry.addr), entry.data.data(), entry.length);
+  void Apply(std::span<const UpdateEntry> entries) override {
+    CopyEntries(regions_, entries);
   }
 };
 
@@ -35,8 +43,8 @@ class BlastStrategy final : public DetectionStrategy {
                UpdateSet* out) override {
     CollectFull(binding, stamp_ts, out);
   }
-  void ApplyEntry(const UpdateEntry& entry) override {
-    std::memcpy(regions_->Translate(entry.addr), entry.data.data(), entry.length);
+  void Apply(std::span<const UpdateEntry> entries) override {
+    CopyEntries(regions_, entries);
   }
 };
 

@@ -4,7 +4,7 @@
 //   * write trapping — noticing that a store to shared memory happened (paper §3.1 / §3.3);
 //   * write collection — producing, at a synchronization point, the set of modifications a
 //     requesting processor is missing (paper §3.2 / §3.4);
-// plus the receive side, applying incoming updates to the local copy.
+// plus the receive side, applying each received update set to the local copy.
 //
 // The Runtime drives the protocol (lock transfer, incarnation logs, barriers) and calls into
 // the strategy for these mechanisms.
@@ -12,6 +12,7 @@
 #define MIDWAY_SRC_CORE_STRATEGY_H_
 
 #include <memory>
+#include <span>
 
 #include "src/core/config.h"
 #include "src/core/counters.h"
@@ -71,10 +72,13 @@ class DetectionStrategy {
   virtual void CollectFull(const Binding& binding, uint64_t stamp_ts, UpdateSet* out);
 
   // --- Update application ---------------------------------------------------------------
-  // Applies one incoming update entry to the local copy. Runs on the communication thread
-  // while the application thread is blocked at the synchronization operation that triggered
-  // the transfer.
-  virtual void ApplyEntry(const UpdateEntry& entry) = 0;
+  // Applies a received update set to the local copy, entries in order. The set is one
+  // barrier chunk, one incarnation of a lock grant or one checkpoint record; taking it whole
+  // lets the VM strategy open each write-protected page once per set instead of once per
+  // entry. Runs on the communication thread while the application thread is blocked at the
+  // synchronization operation that triggered the transfer; checkpoint replay runs it on the
+  // application thread itself, inside BeginParallel, before the program resumes.
+  virtual void Apply(std::span<const UpdateEntry> entries) = 0;
 
   // Optional exactly-once audit (src/sync/invariants.h): when set, timestamp strategies
   // record every line application so the fault-injection suites can prove no modification

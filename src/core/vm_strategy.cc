@@ -7,6 +7,26 @@
 #include "src/mem/diff.h"
 
 namespace midway {
+namespace {
+
+// Sets the protection of `pages` (ascending, distinct) with one mprotect per maximal run of
+// consecutive pages; returns the number of runs.
+size_t ProtectPageRuns(PageTable* table, std::span<const size_t> pages, bool writable) {
+  size_t runs = 0;
+  for (size_t i = 0; i < pages.size();) {
+    size_t last = pages[i];
+    size_t j = i + 1;
+    while (j < pages.size() && pages[j] == last + 1) last = pages[j++];
+    const uint32_t begin = table->PageBegin(pages[i]);
+    table->region()->ProtectDataRange(
+        begin, table->PageBegin(last) + table->PageBytes(last) - begin, writable);
+    ++runs;
+    i = j;
+  }
+  return runs;
+}
+
+}  // namespace
 
 VmStrategy::VmStrategy(const SystemConfig& config, RegionTable* regions, Counters* counters,
                        TrapBackend backend)
@@ -138,7 +158,7 @@ void VmStrategy::Collect(const Binding& binding, uint64_t since, uint64_t stamp_
         std::memcpy(twin + run.offset, data + run.offset, run.length);
       }
       if (backend_ != TrapBackend::kTwinAll) {
-        clean_candidates_.push_back(CleanCandidate{region, table, page});
+        clean_candidates_.push_back(CleanCandidate{table, page});
       }
     }
   }
@@ -150,60 +170,101 @@ void VmStrategy::OnSyncPoint() {
   if (clean_candidates_.empty()) return;
   std::vector<CleanCandidate> candidates;
   candidates.swap(clean_candidates_);
-  for (const CleanCandidate& c : candidates) {
-    RetirePage(c.region, c.table, c.page);
+  // Group each region's candidates in page order, so its retired pages form runs that one
+  // mprotect each re-protects. A page collected twice since the last sync point is listed
+  // twice; RetirePage turns the second listing away because the page is already clean.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const CleanCandidate& a, const CleanCandidate& b) {
+              const RegionId ra = a.table->region()->id();
+              const RegionId rb = b.table->region()->id();
+              return ra != rb ? ra < rb : a.page < b.page;
+            });
+  std::vector<size_t> retired;
+  for (size_t i = 0; i < candidates.size();) {
+    PageTable* table = candidates[i].table;
+    retired.clear();
+    for (; i < candidates.size() && candidates[i].table == table; ++i) {
+      if (RetirePage(table, candidates[i].page)) retired.push_back(candidates[i].page);
+    }
+    if (backend_ == TrapBackend::kSigsegv) {
+      ProtectPageRuns(table, retired, /*writable=*/false);
+    }
   }
 }
 
-void VmStrategy::RetirePage(Region* region, PageTable* table, size_t page) {
-  if (!table->IsDirty(page)) return;
+bool VmStrategy::RetirePage(PageTable* table, size_t page) {
+  if (!table->IsDirty(page)) return false;
   const uint32_t page_bytes = table->PageBytes(page);
   // "When all modified data on the page has been shipped to other processors, the page is
   // considered clean and its diff and twin deallocated" (paper §3.4). Shipped runs were
   // copied into the twin, so a byte-identical page has nothing left to ship.
   if (!SpansEqual({table->PageData(page), page_bytes}, {table->Twin(page), page_bytes})) {
-    return;  // other bound data on the page is still unshipped
+    return false;  // other bound data on the page is still unshipped
   }
   table->MarkClean(page);
-  if (backend_ == TrapBackend::kSigsegv) {
-    region->ProtectDataRange(table->PageBegin(page), page_bytes, /*writable=*/false);
-  }
   counters_->pages_write_protected.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
-void VmStrategy::ApplyEntry(const UpdateEntry& entry) {
-  Region* region = regions_->Get(entry.addr.region);
-  auto it = page_tables_.find(entry.addr.region);
-  MIDWAY_CHECK(it != page_tables_.end());
-  PageTable* table = it->second.get();
-  const uint32_t begin = entry.addr.offset;
-  const uint32_t end = begin + entry.length;
-  MIDWAY_CHECK_LE(end, region->size());
-  const size_t first = table->PageOf(begin);
-  const size_t last = table->PageOf(end - 1);
-  for (size_t page = first; page <= last; ++page) {
-    const uint32_t page_begin = table->PageBegin(page);
-    const uint32_t lo = std::max(begin, page_begin);
-    const uint32_t hi = std::min(end, page_begin + table->PageBytes(page));
-    const std::byte* src = entry.data.data() + (lo - begin);
-    const bool dirty = table->IsDirty(page);
-    if (!dirty && backend_ == TrapBackend::kSigsegv) {
-      // The page is clean, hence write-protected: open a temporary window. The application
-      // thread is blocked at the synchronization operation that triggered this transfer, so
-      // no local store can race with the window.
-      region->ProtectDataRange(page_begin, table->PageBytes(page), /*writable=*/true);
-      std::memcpy(region->data() + lo, src, hi - lo);
-      region->ProtectDataRange(page_begin, table->PageBytes(page), /*writable=*/false);
-    } else {
-      std::memcpy(region->data() + lo, src, hi - lo);
+void VmStrategy::Apply(std::span<const UpdateEntry> entries) {
+  // One page-table lookup per run of entries on the same region (a set usually names one).
+  while (!entries.empty()) {
+    const RegionId id = entries.front().addr.region;
+    size_t n = 1;
+    while (n < entries.size() && entries[n].addr.region == id) ++n;
+    auto it = page_tables_.find(id);
+    MIDWAY_CHECK(it != page_tables_.end());
+    ApplyToRegion(it->second.get(), entries.first(n));
+    entries = entries.subspan(n);
+  }
+}
+
+void VmStrategy::ApplyToRegion(PageTable* table, std::span<const UpdateEntry> entries) {
+  Region* region = table->region();
+  for (const UpdateEntry& entry : entries) {
+    MIDWAY_CHECK_LE(uint64_t{entry.addr.offset} + entry.length, region->size());
+  }
+  // Under sigsegv a clean page is write-protected. Open every clean page the set touches
+  // once, one mprotect per run of contiguous clean pages, copy all entries, then close the
+  // same runs. A dirty page is already writable and never joins a run, so it stays
+  // writable. The application thread is blocked at the synchronization operation that
+  // triggered this transfer (or is itself replaying its checkpoint), so no local store can
+  // slip through an open window untrapped.
+  std::vector<size_t> clean;  // distinct clean pages touched, ascending once sorted
+  if (backend_ == TrapBackend::kSigsegv) {
+    for (const UpdateEntry& entry : entries) {
+      if (entry.length == 0) continue;
+      const size_t last = table->PageOf(entry.addr.offset + entry.length - 1);
+      for (size_t page = table->PageOf(entry.addr.offset); page <= last; ++page) {
+        if (!table->IsDirty(page) && (clean.empty() || clean.back() != page)) {
+          clean.push_back(page);
+        }
+      }
     }
-    if (dirty) {
+    std::sort(clean.begin(), clean.end());
+    clean.erase(std::unique(clean.begin(), clean.end()), clean.end());
+    counters_->apply_protect_windows.fetch_add(
+        ProtectPageRuns(table, clean, /*writable=*/true), std::memory_order_relaxed);
+  }
+  for (const UpdateEntry& entry : entries) {
+    if (entry.length == 0) continue;
+    const uint32_t begin = entry.addr.offset;
+    const uint32_t end = begin + entry.length;
+    std::memcpy(region->data() + begin, entry.data.data(), entry.length);
+    const size_t last = table->PageOf(end - 1);
+    for (size_t page = table->PageOf(begin); page <= last; ++page) {
+      if (!table->IsDirty(page)) continue;
       // Apply to the twin as well, so the incoming update is not mistaken for a local
       // modification at the next diff (paper §3.4).
-      std::memcpy(table->MutableTwin(page) + (lo - page_begin), src, hi - lo);
+      const uint32_t page_begin = table->PageBegin(page);
+      const uint32_t lo = std::max(begin, page_begin);
+      const uint32_t hi = std::min(end, page_begin + table->PageBytes(page));
+      std::memcpy(table->MutableTwin(page) + (lo - page_begin), entry.data.data() + (lo - begin),
+                  hi - lo);
       counters_->twin_bytes_updated.fetch_add(hi - lo, std::memory_order_relaxed);
     }
   }
+  ProtectPageRuns(table, clean, /*writable=*/false);
 }
 
 PageTable* VmStrategy::page_table(RegionId id) const {

@@ -9,11 +9,18 @@
 // modified runs clipped to the bound ranges become the update. Shipped runs are copied into
 // the twin so they are not collected twice; once a page is byte-identical to its twin again
 // it is retired (twin dropped, page re-protected) at the next application-thread sync point.
+//
+// Application: a received update set is copied in one pass. Under kVmSigsegv every clean
+// page the set touches is opened once, one mprotect per run of contiguous clean pages, and
+// the same runs are closed again before Apply returns; dirty pages are already writable,
+// never join a run, and get each incoming byte in their twin as well. Retirement
+// re-protects a sync point's retired pages run by run the same way.
 #ifndef MIDWAY_SRC_CORE_VM_STRATEGY_H_
 #define MIDWAY_SRC_CORE_VM_STRATEGY_H_
 
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/strategy.h"
@@ -44,19 +51,22 @@ class VmStrategy final : public DetectionStrategy {
   void Collect(const Binding& binding, uint64_t since, uint64_t stamp_ts,
                UpdateSet* out) override;
 
-  void ApplyEntry(const UpdateEntry& entry) override;
+  void Apply(std::span<const UpdateEntry> entries) override;
 
   // Test hook.
   PageTable* page_table(RegionId id) const;
 
  private:
   struct CleanCandidate {
-    Region* region;
     PageTable* table;
     size_t page;
   };
 
-  void RetirePage(Region* region, PageTable* table, size_t page);
+  // Marks `page` clean if everything modified on it has shipped; returns whether it did.
+  // The caller re-protects retired pages (sigsegv).
+  bool RetirePage(PageTable* table, size_t page);
+  // Apply for a run of entries that all name the region of `table`.
+  void ApplyToRegion(PageTable* table, std::span<const UpdateEntry> entries);
 
   TrapBackend backend_;
   std::map<RegionId, std::unique_ptr<PageTable>> page_tables_;

@@ -29,7 +29,7 @@ namespace obs {
 enum class SpanKind : uint8_t {
   kAcquireWait = 0,    // Acquire: request sent -> grant applied (remote path)
   kGrantBuild,         // GrantTo: strategy Collect + serialize into the wire frame
-  kGrantApply,         // HandleGrant: decode + ApplyEntry loop
+  kGrantApply,         // HandleGrant: decode + Apply per incarnation
   kBarrierWait,        // BarrierWait: enter -> release received
   kBarrierApply,       // HandleBarrierRelease: apply piggybacked updates
   kCollect,            // DetectionStrategy::Collect / CollectFull

@@ -116,7 +116,7 @@ TEST(UpdateQueueTest, AppliedUpdatesEnterTheQueue) {
   sender.WriteU64(128, 0x42);
   UpdateSet updates;
   sender.strategy->Collect(sender.WholeBinding(), 0, 10, &updates);
-  for (const auto& e : updates) relay.strategy->ApplyEntry(e);
+  relay.strategy->Apply(updates);
   // The relay can serve a brand-new requester (since = 0) purely from its queue.
   UpdateSet relayed;
   relay.strategy->Collect(relay.WholeBinding(), 0, 20, &relayed);
@@ -161,7 +161,7 @@ TEST(HybridTest, ApplyRaisesCoverViaFault) {
   UpdateSet updates;
   sender.strategy->Collect(sender.WholeBinding(), 0, 11, &updates);
   ASSERT_EQ(updates.size(), 1u);
-  relay.strategy->ApplyEntry(updates[0]);  // the slot store faults at the relay
+  relay.strategy->Apply(updates);  // the slot store faults at the relay
   UpdateSet relayed;
   relay.strategy->Collect(relay.WholeBinding(), 0, 22, &relayed);
   ASSERT_EQ(relayed.size(), 1u);

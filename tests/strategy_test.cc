@@ -106,13 +106,13 @@ TEST(RtStrategyTest, ApplyIsExactlyOnce) {
   sender.strategy->Collect(sender.WholeBinding(), 0, 50, &updates);
   ASSERT_EQ(updates.size(), 1u);
 
-  receiver.strategy->ApplyEntry(updates[0]);
+  receiver.strategy->Apply(updates);
   EXPECT_EQ(*reinterpret_cast<uint64_t*>(receiver.region->data() + 128), 0x1234u);
   EXPECT_EQ(CounterSnapshot::From(receiver.counters).dirtybits_updated, 1u);
 
   // Applying the same (or older) update again is skipped.
   std::memset(receiver.region->data() + 128, 0, 8);
-  receiver.strategy->ApplyEntry(updates[0]);
+  receiver.strategy->Apply(updates);
   EXPECT_EQ(*reinterpret_cast<uint64_t*>(receiver.region->data() + 128), 0u);
   auto snap = CounterSnapshot::From(receiver.counters);
   EXPECT_EQ(snap.dirtybits_updated, 1u);
@@ -129,7 +129,7 @@ TEST(RtStrategyTest, ApplyDetectsRaceOnLocallyDirtyLine) {
   entry.ts = 99;
   const std::vector<std::byte> payload(8, std::byte{0x7});
   entry.BindCopy(payload);
-  f.strategy->ApplyEntry(entry);
+  f.strategy->Apply({&entry, 1});
   EXPECT_EQ(CounterSnapshot::From(f.counters).race_warnings, 1u);
 }
 
@@ -241,7 +241,7 @@ TEST_P(VmModeTest, ApplyUpdatesTwinOnDirtyPages) {
   entry.addr = {f.region->id(), 128};
   const std::vector<std::byte> payload(8, std::byte{0x9});
   entry.BindCopy(payload);
-  f.strategy->ApplyEntry(entry);
+  f.strategy->Apply({&entry, 1});
   // The update landed in both the page and the twin, so it is not collected as a local mod.
   UpdateSet out;
   Binding b;
@@ -257,7 +257,7 @@ TEST_P(VmModeTest, ApplyToCleanPageLeavesItClean) {
   entry.addr = {f.region->id(), 4096};
   const std::vector<std::byte> payload(16, std::byte{0x3});
   entry.BindCopy(payload);
-  f.strategy->ApplyEntry(entry);
+  f.strategy->Apply({&entry, 1});
   EXPECT_EQ(std::memcmp(f.region->data() + 4096, entry.data.data(), 16), 0);
   auto* vm = static_cast<VmStrategy*>(f.strategy.get());
   EXPECT_FALSE(vm->page_table(f.region->id())->IsDirty(1));
@@ -265,6 +265,100 @@ TEST_P(VmModeTest, ApplyToCleanPageLeavesItClean) {
   // And a subsequent local write to that page still faults (it was re-protected).
   f.WriteU64(4096 + 64, 5);
   EXPECT_EQ(CounterSnapshot::From(f.counters).write_faults, 1u);
+}
+
+TEST_P(VmModeTest, RetiredPagesAreAllReprotected) {
+  Fixture f(GetParam());
+  // Pages 0-2 form one run, page 5 another.
+  for (uint32_t page : {0u, 1u, 2u, 5u}) f.WriteU64(page * 4096 + 64, page + 1);
+  UpdateSet out;
+  f.strategy->Collect(f.WholeBinding(), 0, 0, &out);
+  f.strategy->Collect(f.WholeBinding(), 0, 0, &out);  // lists each page a second time
+  f.strategy->OnSyncPoint();
+  PageTable* table = static_cast<VmStrategy*>(f.strategy.get())->page_table(f.region->id());
+  for (size_t page = 0; page < table->num_pages(); ++page) EXPECT_FALSE(table->IsDirty(page));
+  EXPECT_EQ(CounterSnapshot::From(f.counters).pages_write_protected, 4u);
+  for (uint32_t page : {0u, 1u, 2u, 5u}) f.WriteU64(page * 4096 + 128, 9);
+  EXPECT_EQ(CounterSnapshot::From(f.counters).write_faults, 8u);
+}
+
+// An update set of `count` 8-byte entries, `stride` bytes apart from `first`.
+UpdateSet EightByteEntries(RegionId region, uint32_t first, uint32_t stride, int count) {
+  UpdateSet set;
+  for (int i = 0; i < count; ++i) {
+    UpdateEntry entry;
+    entry.addr = {region, first + static_cast<uint32_t>(i) * stride};
+    const std::vector<std::byte> payload(8, std::byte{static_cast<unsigned char>(i + 1)});
+    entry.BindCopy(payload);
+    set.push_back(std::move(entry));
+  }
+  return set;
+}
+
+TEST(VmApplyTest, OneWindowPerCleanPageForAWholeSet) {
+  Fixture f(DetectionMode::kVmSigsegv);
+  const UpdateSet set = EightByteEntries(f.region->id(), 4096, 8, 500);  // all on page 1
+  f.strategy->Apply(set);
+  for (const UpdateEntry& e : set) {
+    EXPECT_EQ(std::memcmp(f.region->data() + e.addr.offset, e.data.data(), 8), 0);
+  }
+  auto snap = CounterSnapshot::From(f.counters);
+  EXPECT_EQ(snap.apply_protect_windows, 1u);
+  EXPECT_EQ(snap.twin_bytes_updated, 0u);
+  PageTable* table = static_cast<VmStrategy*>(f.strategy.get())->page_table(f.region->id());
+  EXPECT_FALSE(table->IsDirty(1));
+  // The window closed again: the next local store to the page faults.
+  f.WriteU64(4096 + 4000, 7);
+  EXPECT_EQ(CounterSnapshot::From(f.counters).write_faults, 1u);
+}
+
+TEST(VmApplyTest, DirtyPageSplitsWindowsAndStaysWritable) {
+  Fixture f(DetectionMode::kVmSigsegv);
+  f.WriteU64(4096 + 1024, 0x55);  // page 1 dirty (twinned, writable)
+  ASSERT_EQ(CounterSnapshot::From(f.counters).write_faults, 1u);
+  // Pages 0, 1, 2: clean, dirty, clean.
+  const UpdateSet set = EightByteEntries(f.region->id(), 2048, 4096, 3);
+  f.strategy->Apply(set);
+  for (const UpdateEntry& e : set) {
+    EXPECT_EQ(std::memcmp(f.region->data() + e.addr.offset, e.data.data(), 8), 0);
+  }
+  auto snap = CounterSnapshot::From(f.counters);
+  EXPECT_EQ(snap.apply_protect_windows, 2u);
+  EXPECT_EQ(snap.twin_bytes_updated, 8u);
+  PageTable* table = static_cast<VmStrategy*>(f.strategy.get())->page_table(f.region->id());
+  EXPECT_EQ(std::memcmp(table->Twin(1) + 2048, set[1].data.data(), 8), 0);
+  // The dirty page was never re-protected: another store to it does not fault.
+  f.WriteU64(4096 + 3000, 0x66);
+  EXPECT_EQ(CounterSnapshot::From(f.counters).write_faults, 1u);
+  // The clean pages on either side were.
+  f.WriteU64(0, 1);
+  f.WriteU64(8192, 1);
+  EXPECT_EQ(CounterSnapshot::From(f.counters).write_faults, 3u);
+}
+
+TEST(VmApplyTest, EntrySpanningCleanAndDirtyPages) {
+  Fixture f(DetectionMode::kVmSigsegv);
+  f.WriteU64(4096 + 512, 0x55);  // page 1 dirty
+  UpdateEntry entry;
+  entry.addr = {f.region->id(), 4096 - 8};  // last 8 bytes of page 0, first 8 of page 1
+  const std::vector<std::byte> payload(16, std::byte{0x4});
+  entry.BindCopy(payload);
+  f.strategy->Apply({&entry, 1});
+  EXPECT_EQ(std::memcmp(f.region->data() + 4096 - 8, payload.data(), 16), 0);
+  PageTable* table = static_cast<VmStrategy*>(f.strategy.get())->page_table(f.region->id());
+  EXPECT_EQ(std::memcmp(table->Twin(1), payload.data(), 8), 0);
+  auto snap = CounterSnapshot::From(f.counters);
+  EXPECT_EQ(snap.apply_protect_windows, 1u);
+  EXPECT_EQ(snap.twin_bytes_updated, 8u);
+}
+
+TEST(VmApplyTest, UntrappedBackendsOpenNoWindows) {
+  for (DetectionMode mode : {DetectionMode::kVmSoft, DetectionMode::kTwinAll}) {
+    Fixture f(mode);
+    f.strategy->Apply(EightByteEntries(f.region->id(), 0, 1000, 40));
+    EXPECT_EQ(CounterSnapshot::From(f.counters).apply_protect_windows, 0u)
+        << DetectionModeName(mode);
+  }
 }
 
 TEST(SigsegvTest, RegistryTracksRegions) {
@@ -361,9 +455,7 @@ TEST_P(PropagationFuzzTest, CollectedUpdatesReproduceWriterState) {
   // ...collected and applied must make the reader's copy identical.
   UpdateSet updates;
   writer.strategy->Collect(writer.WholeBinding(), 0, 1000, &updates);
-  for (const UpdateEntry& e : updates) {
-    reader.strategy->ApplyEntry(e);
-  }
+  reader.strategy->Apply(updates);
   EXPECT_EQ(std::memcmp(reader.region->data(), writer.region->data(), writer.region->size()),
             0);
 }
