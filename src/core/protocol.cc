@@ -14,6 +14,9 @@ static_assert(kHeartbeatAckTag == static_cast<uint8_t>(MsgType::kHeartbeatAck));
 
 namespace {
 
+// Update-set flags byte.
+constexpr uint8_t kSetHasTs = 1;  // entries carry ts deltas (some entry has a nonzero ts)
+
 void EncodeLoggedUpdates(WireWriter* w, const std::vector<LoggedUpdate>& log) {
   w->U32(static_cast<uint32_t>(log.size()));
   for (const LoggedUpdate& entry : log) {
@@ -25,8 +28,9 @@ void EncodeLoggedUpdates(WireWriter* w, const std::vector<LoggedUpdate>& log) {
 bool DecodeLoggedUpdates(WireReader* r, std::vector<LoggedUpdate>* out) {
   uint32_t n = r->U32();
   out->clear();
-  // Never trust a wire-supplied count for allocation: each entry needs >= 8 bytes.
-  out->reserve(std::min<size_t>(n, r->Remaining() / 8));
+  // Never trust a wire-supplied count for allocation: each entry needs >= 6 bytes (u32
+  // incarnation, then an update set's count varint and flags byte).
+  out->reserve(std::min<size_t>(n, r->Remaining() / 6));
   for (uint32_t i = 0; i < n && r->ok(); ++i) {
     LoggedUpdate entry;
     entry.incarnation = r->U32();
@@ -36,9 +40,15 @@ bool DecodeLoggedUpdates(WireReader* r, std::vector<LoggedUpdate>* out) {
   return r->ok();
 }
 
-void EncodeBarrierChunks(WireWriter* w, const std::vector<BarrierChunk>& chunks) {
-  w->U32(static_cast<uint32_t>(chunks.size()));
+// Writes every chunk except the one from origin `omit` (kNoNode omits none).
+void EncodeBarrierChunks(WireWriter* w, const std::vector<BarrierChunk>& chunks,
+                         NodeId omit = kNoNode) {
+  const auto omitted = static_cast<uint32_t>(
+      std::count_if(chunks.begin(), chunks.end(),
+                    [omit](const BarrierChunk& c) { return c.node == omit; }));
+  w->U32(static_cast<uint32_t>(chunks.size()) - omitted);
   for (const BarrierChunk& c : chunks) {
+    if (c.node == omit) continue;
     w->U16(c.node);
     w->U64(c.enter_ts);
     EncodeUpdateSet(w, c.updates);
@@ -48,8 +58,9 @@ void EncodeBarrierChunks(WireWriter* w, const std::vector<BarrierChunk>& chunks)
 bool DecodeBarrierChunks(WireReader* r, std::vector<BarrierChunk>* out) {
   uint32_t n = r->U32();
   out->clear();
-  // Each chunk needs >= 14 bytes on the wire; cap the reservation against corrupt counts.
-  out->reserve(std::min<size_t>(n, r->Remaining() / 14));
+  // Each chunk needs >= 12 bytes on the wire (node, enter_ts, then an update set's count
+  // varint and flags byte); cap the reservation against corrupt counts.
+  out->reserve(std::min<size_t>(n, r->Remaining() / 12));
   for (uint32_t i = 0; i < n && r->ok(); ++i) {
     BarrierChunk c;
     c.node = r->U16();
@@ -86,33 +97,87 @@ bool BeginDecode(WireReader* r, MsgType expected) {
 
 }  // namespace
 
+// Update-set framing: [varint count][u8 flags], then per entry
+//   [varint length << 1 | new_region] [varint region, iff new_region]
+//   [zigzag varint offset - base] [zigzag varint ts - previous ts, iff kSetHasTs] [payload]
+// new_region compares against the previous entry's region (0 before the first entry);
+// `base` is the previous entry's end in the same region (0 at the start and after a region
+// change); the previous ts starts at 0. Ascending same-region diff runs thus cost two
+// header bytes per entry (docs/INTERNALS.md §9).
 void EncodeUpdateSet(WireWriter* w, const UpdateSet& set) {
-  w->U32(static_cast<uint32_t>(set.size()));
+  uint8_t flags = 0;
   for (const UpdateEntry& e : set) {
-    w->U32(e.addr.region);
-    w->U32(e.addr.offset);
-    w->U32(e.length);
-    w->U64(e.ts);
+    if (e.ts != 0) {
+      flags |= kSetHasTs;
+      break;
+    }
+  }
+  w->VarU64(set.size());
+  w->U8(flags);
+  RegionId region = 0;
+  uint64_t base = 0;
+  uint64_t ts = 0;
+  for (const UpdateEntry& e : set) {
     MIDWAY_DCHECK(e.data.size() == e.length);
+    const bool new_region = e.addr.region != region;
+    w->VarU64(uint64_t{e.length} << 1 | (new_region ? 1 : 0));
+    if (new_region) {
+      region = e.addr.region;
+      base = 0;
+      w->VarU64(region);
+    }
+    w->VarI64(static_cast<int64_t>(e.addr.offset) - static_cast<int64_t>(base));
+    base = uint64_t{e.addr.offset} + e.length;
+    if ((flags & kSetHasTs) != 0) {
+      w->VarI64(static_cast<int64_t>(e.ts - ts));
+      ts = e.ts;
+    }
     w->RawZeroCopy(e.data);
   }
 }
 
 bool DecodeUpdateSet(WireReader* r, UpdateSet* out) {
-  uint32_t n = r->U32();
   out->clear();
-  // Each entry occupies at least 20 bytes on the wire; cap the reservation accordingly so a
-  // corrupted count cannot trigger a huge allocation.
-  out->reserve(std::min<size_t>(n, r->Remaining() / 20));
+  const uint64_t n = r->VarU64();
+  const uint8_t flags = r->U8();
+  if (!r->ok() || (flags & ~kSetHasTs) != 0) return false;
+  // Every entry takes at least its length and offset varints (and its ts delta when the set
+  // carries timestamps), so a count the rest of the frame cannot hold is corrupt. Checking
+  // it up front also bounds the reservation.
+  const size_t min_entry_bytes = (flags & kSetHasTs) != 0 ? 3 : 2;
+  if (n > r->Remaining() / min_entry_bytes) return false;
+  out->reserve(n);
   // Decoded payloads must outlive the frame buffer, so they are copied once into arena
   // chunks shared across the set (one allocation per ~64KB instead of one per entry).
   PayloadArena arena;
-  for (uint32_t i = 0; i < n && r->ok(); ++i) {
+  RegionId region = 0;
+  uint64_t base = 0;
+  uint64_t ts = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t head = r->VarU64();
+    if ((head >> 33) != 0) return false;  // length beyond u32
+    if ((head & 1) != 0) {
+      region = r->VarU32();
+      base = 0;
+    }
+    const int64_t delta = r->VarI64();
+    const uint64_t length = head >> 1;
+    // The offset (base + delta) and the entry's end must both stay inside u32; base already
+    // does, as the previous entry's checked end.
+    if (delta < -static_cast<int64_t>(base) || delta > static_cast<int64_t>(UINT32_MAX - base)) {
+      return false;
+    }
+    const uint64_t offset = base + static_cast<uint64_t>(delta);
+    if (offset + length > UINT32_MAX) return false;
     UpdateEntry e;
-    e.addr.region = r->U32();
-    e.addr.offset = r->U32();
-    e.length = r->U32();
-    e.ts = r->U64();
+    e.addr.region = region;
+    e.addr.offset = static_cast<uint32_t>(offset);
+    e.length = static_cast<uint32_t>(length);
+    base = offset + length;
+    if ((flags & kSetHasTs) != 0) {
+      ts += static_cast<uint64_t>(r->VarI64());
+      e.ts = ts;
+    }
     auto data = r->Raw(e.length);
     if (!r->ok()) return false;
     e.BindCopy(data, &arena);
@@ -218,7 +283,12 @@ WireWriter EncodeW(const BarrierReleaseMsg& msg, std::vector<std::byte> pooled) 
   w.U32(msg.round);
   w.U16(msg.failed_node);
   w.U8(msg.catch_up ? 1 : 0);
-  EncodeBarrierChunks(&w, msg.chunks);
+  // Name an omitted origin only when its chunk is really left out of this frame.
+  const bool present = std::any_of(msg.chunks.begin(), msg.chunks.end(),
+                                   [&](const BarrierChunk& c) { return c.node == msg.omitted_chunk; });
+  const NodeId omit = present ? msg.omitted_chunk : kNoNode;
+  w.U16(omit);
+  EncodeBarrierChunks(&w, msg.chunks, omit);
   return w;
 }
 
@@ -421,6 +491,7 @@ bool Decode(std::span<const std::byte> frame, BarrierReleaseMsg* out) {
   out->round = r.U32();
   out->failed_node = r.U16();
   out->catch_up = r.U8() != 0;
+  out->omitted_chunk = r.U16();
   return DecodeBarrierChunks(&r, &out->chunks);
 }
 

@@ -142,7 +142,12 @@ struct BarrierReleaseMsg {
   uint32_t round = 0;
   NodeId failed_node = kNoNode;  // fail-fast policy: the dead node that aborted this barrier
   bool catch_up = false;  // point-to-point answer to a stale re-enter; never relayed down
-  std::vector<BarrierChunk> chunks;  // merged once at the root, per origin
+  // Origin whose chunk the encoded frame leaves out, or kNoNode. A relay to a leaf child
+  // omits the child's own chunk, which the child still holds and splices back on receipt.
+  // The encoder writes it only when that chunk is present and skips the chunk; a decoded
+  // frame that names its receiver therefore lacks the receiver's chunk.
+  NodeId omitted_chunk = kNoNode;
+  std::vector<BarrierChunk> chunks;  // merged once at the root, per origin, in origin order
 
   friend bool operator==(const BarrierReleaseMsg&, const BarrierReleaseMsg&) = default;
 };

@@ -400,6 +400,13 @@ std::vector<NodeId> Runtime::BarrierChildrenLocked() const {
   return children;
 }
 
+bool Runtime::BarrierLeafLocked(NodeId n) const {
+  for (NodeId m = static_cast<NodeId>(n + 1); m < nprocs(); ++m) {
+    if (!node_dead_[m] && BarrierParentLocked(m) == n) return false;
+  }
+  return true;  // effective parents have smaller ids, so only larger ids can be children
+}
+
 std::vector<uint8_t> Runtime::BarrierSubtreeLocked(NodeId node) const {
   // Effective parents have strictly smaller ids, so one increasing-id pass suffices: a live
   // node is in the subtree iff its effective parent is (descendants all have ids > node).
@@ -448,7 +455,7 @@ SyncStatus Runtime::BarrierWait(BarrierId barrier) {
   // (nprocs == 1 releases synchronously here, before the wait).
   std::vector<BarrierChunk> own_chunks;
   own_chunks.push_back(std::move(own));
-  AccumulateChunksLocked(barrier, b, round, std::move(own_chunks));
+  AccumulateChunksLocked(barrier, b, round, self_, std::move(own_chunks));
   while (!cv_.wait_for(lk, std::chrono::seconds(2), [&] {
     return b.completed_round > round || b.failed_node != kNoNode;
   })) {
@@ -934,17 +941,21 @@ void Runtime::HandleBarrierEnter(BarrierEnterMsg& msg) {
     }
     return;
   }
-  AccumulateChunksLocked(msg.barrier, b, msg.round, std::move(msg.chunks));
+  AccumulateChunksLocked(msg.barrier, b, msg.round, msg.node, std::move(msg.chunks));
 }
 
 void Runtime::AccumulateChunksLocked(BarrierId barrier, BarrierRecord& b, uint32_t round,
-                                     std::vector<BarrierChunk>&& chunks) {
+                                     NodeId from, std::vector<BarrierChunk>&& chunks) {
   BarrierRecord::RoundAssembly& a = b.assembling[round];
-  if (a.have.empty()) a.have.assign(nprocs(), 0);
+  if (a.have.empty()) {
+    a.have.assign(nprocs(), 0);
+    a.direct.assign(nprocs(), 0);
+  }
   std::vector<BarrierChunk> fresh;
   for (BarrierChunk& c : chunks) {
     if (c.node >= a.have.size() || a.have[c.node]) continue;  // dup (re-sent after re-parent)
     a.have[c.node] = 1;
+    a.direct[c.node] = c.node == from ? 1 : 0;
     fresh.push_back(std::move(c));
   }
   if (fresh.empty()) return;
@@ -988,11 +999,15 @@ void Runtime::MaybeForwardOrReleaseLocked(BarrierId barrier, BarrierRecord& b,
     }
     // Merge exactly once: one release payload per round, shared by every receiver (each
     // skips its own chunk on apply). The old manager built a distinct N-1 merge per node.
+    // Origin order makes the merge independent of arrival order, and gives a leaf a fixed
+    // place to splice its own chunk back into.
     BarrierReleaseMsg rel;
     rel.barrier = barrier;
     rel.release_ts = clock_.Tick();
     rel.round = round;
     rel.chunks = std::move(a.chunks);
+    std::sort(rel.chunks.begin(), rel.chunks.end(),
+              [](const BarrierChunk& x, const BarrierChunk& y) { return x.node < y.node; });
     counters_.barrier_release_builds.fetch_add(1, std::memory_order_relaxed);
     ApplyReleaseLocked(barrier, b, rel);  // applies here, then relays down the tree
     return;
@@ -1018,8 +1033,7 @@ void Runtime::MaybeForwardOrReleaseLocked(BarrierId barrier, BarrierRecord& b,
   SendFrame(BarrierParentLocked(self_), EncodeW(up, TakeWireBuffer()));
 }
 
-void Runtime::ApplyReleaseLocked(BarrierId barrier, BarrierRecord& b,
-                                 const BarrierReleaseMsg& msg) {
+void Runtime::ApplyReleaseLocked(BarrierId barrier, BarrierRecord& b, BarrierReleaseMsg& msg) {
   obs::Span apply_span(spans_, obs::SpanKind::kBarrierApply, barrier);
   if (msg.failed_node != kNoNode) {
     // Fail-fast verdict: wake waiters with the failure instead of completing the round, and
@@ -1029,15 +1043,18 @@ void Runtime::ApplyReleaseLocked(BarrierId barrier, BarrierRecord& b,
     b.poisoned = true;
     b.poison_node = msg.failed_node;
     trace_.Record(clock_.Now(), TraceEvent::kBarrierRelease, barrier, msg.failed_node, 0);
-    if (!msg.catch_up) RelayReleaseLocked(msg);
+    if (!msg.catch_up) RelayReleaseLocked(b, msg);
     cv_.notify_all();
     return;
   }
+  // A release still missing this node's own chunk is applied (own writes are skipped
+  // anyway) but never cached or relayed: no peer may receive a partial merge from here.
+  const bool whole = msg.omitted_chunk == kNoNode;
   if (msg.round + 1 <= b.completed_round) {
     // Duplicate (a post-commit re-send raced the original): the subtree may still be
     // missing it, so relay before dropping. Terminates — children have strictly larger ids.
     apply_span.Cancel();
-    if (!msg.catch_up) RelayReleaseLocked(msg);
+    if (!msg.catch_up && whole) RelayReleaseLocked(b, msg);
     return;
   }
   uint64_t bytes = 0;
@@ -1065,32 +1082,59 @@ void Runtime::ApplyReleaseLocked(BarrierId barrier, BarrierRecord& b,
   }
   b.completed_round = msg.round + 1;
   b.last_release_ts = std::max(b.last_release_ts, msg.release_ts);
-  if (!msg.catch_up) {
+  if (!msg.catch_up) b.has_last_release = whole;
+  if (!msg.catch_up && whole) {
     b.last_release = msg;
     // Chunks decoded from the wire own their payload bytes (DecodeUpdateSet arena-copies),
-    // but a chunk Collected *here* — the root's own contribution — is a zero-copy view into
-    // region memory, which moves on as soon as the app thread crosses the barrier. A later
-    // catch-up re-send would then serialize whatever the region holds *now*, leaking a
-    // future round's values under this round's stamps. Copy borrowed views into owned
-    // storage while the region still holds this round's data.
+    // but a chunk Collected *here* — the root's own contribution, or the own chunk a leaf
+    // spliced back from its assembly — may be a zero-copy view into region memory, which
+    // moves on as soon as the app thread crosses the barrier. A later catch-up re-send
+    // would then serialize whatever the region holds *now*, leaking a future round's
+    // values under this round's stamps. Copy borrowed views into owned storage while the
+    // region still holds this round's data.
     PayloadArena arena;
     for (BarrierChunk& c : b.last_release.chunks) {
       for (UpdateEntry& e : c.updates) {
         if (e.owner == nullptr && !e.data.empty()) e.BindCopy(e.data, &arena);
       }
     }
-    b.has_last_release = true;
   }
+  // Relay before erasing: the round's assembly says which leaf children hold their chunk.
+  if (!msg.catch_up && whole) RelayReleaseLocked(b, msg);
   b.assembling.erase(b.assembling.begin(), b.assembling.upper_bound(msg.round));
-  if (!msg.catch_up) RelayReleaseLocked(msg);
   cv_.notify_all();
 }
 
-void Runtime::RelayReleaseLocked(const BarrierReleaseMsg& msg) {
+void Runtime::RelayReleaseLocked(const BarrierRecord& b, BarrierReleaseMsg& msg) {
+  // Catch-up and fail-fast releases are never trimmed; the duplicate path finds no
+  // assembly (its round was erased on first apply) and so relays whole frames too.
+  const auto it = msg.catch_up || msg.failed_node != kNoNode ? b.assembling.end()
+                                                               : b.assembling.find(msg.round);
+  const BarrierRecord::RoundAssembly* a = it == b.assembling.end() ? nullptr : &it->second;
   for (NodeId child : BarrierChildrenLocked()) {
     counters_.barrier_release_relays.fetch_add(1, std::memory_order_relaxed);
+    // An internal child needs every chunk for its subtree; a leaf already holds its own.
+    const bool omit = a != nullptr && a->direct[child] && BarrierLeafLocked(child);
+    msg.omitted_chunk = omit ? child : kNoNode;
     SendFrame(child, EncodeW(msg, TakeWireBuffer()));
   }
+  msg.omitted_chunk = kNoNode;
+}
+
+void Runtime::SpliceOwnChunkLocked(BarrierRecord& b, BarrierReleaseMsg& msg) {
+  const auto it = b.assembling.find(msg.round);
+  if (it == b.assembling.end()) return;  // e.g. a restarted incarnation that never entered
+  std::vector<BarrierChunk>& held = it->second.chunks;
+  const auto own = std::find_if(held.begin(), held.end(),
+                                [&](const BarrierChunk& c) { return c.node == self_; });
+  if (own == held.end()) return;
+  // Moved, not copied: ApplyReleaseLocked erases this round's assembly once it applies.
+  const auto pos = std::lower_bound(
+      msg.chunks.begin(), msg.chunks.end(), self_,
+      [](const BarrierChunk& c, NodeId n) { return c.node < n; });
+  msg.chunks.insert(pos, std::move(*own));
+  held.erase(own);
+  msg.omitted_chunk = kNoNode;
 }
 
 void Runtime::SendCatchUpReleaseLocked(BarrierId barrier, BarrierRecord& b, uint32_t round,
@@ -1136,10 +1180,12 @@ void Runtime::SendCatchUpReleaseLocked(BarrierId barrier, BarrierRecord& b, uint
   SendFrame(to, EncodeW(rel, TakeWireBuffer()));
 }
 
-void Runtime::HandleBarrierRelease(const BarrierReleaseMsg& msg) {
+void Runtime::HandleBarrierRelease(BarrierReleaseMsg& msg) {
   std::lock_guard<std::mutex> lk(mu_);
   clock_.Observe(msg.release_ts);
-  ApplyReleaseLocked(msg.barrier, barriers_[msg.barrier], msg);
+  BarrierRecord& b = barriers_[msg.barrier];
+  if (msg.omitted_chunk == self_) SpliceOwnChunkLocked(b, msg);
+  ApplyReleaseLocked(msg.barrier, b, msg);
 }
 
 void Runtime::EcCheckWrite(RegionId region, uint32_t offset, uint32_t length,
@@ -1296,6 +1342,13 @@ void Runtime::CheckpointLocked(CheckpointLog::Kind kind, uint32_t object,
   counters_.checkpoint_records.fetch_add(1, std::memory_order_relaxed);
   counters_.checkpoint_bytes.fetch_add(bytes, std::memory_order_relaxed);
   append_span.End(bytes);
+}
+
+std::optional<BarrierReleaseMsg> Runtime::DebugLastRelease(BarrierId barrier) {
+  std::lock_guard<std::mutex> lk(mu_);
+  const BarrierRecord& b = barriers_[barrier];
+  if (!b.has_last_release) return std::nullopt;
+  return b.last_release;
 }
 
 Runtime::BarrierDebugInfo Runtime::DebugBarrier(BarrierId barrier) {

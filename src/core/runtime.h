@@ -240,6 +240,8 @@ class Runtime : public obs::TraceHook {
   };
   // Restart-aware apps consult this after BeginParallel to resume at the right iteration.
   BarrierDebugInfo DebugBarrier(BarrierId barrier);
+  // The newest merged release cached here for catch-up re-sends (nullopt when none is).
+  std::optional<BarrierReleaseMsg> DebugLastRelease(BarrierId barrier);
 
   // --- Failure handling -----------------------------------------------------------------
 
@@ -313,8 +315,12 @@ class Runtime : public obs::TraceHook {
     // at the root, as the merged release). `have` is indexed by origin node and dedups
     // re-sent chunks; `forwarded` marks that the combined enter already went up, so chunks
     // arriving later (a re-parented orphan) are relayed individually instead of re-merged.
+    // `direct` marks origins whose chunk arrived in an enter sent by that origin itself: such
+    // a child still holds its own chunk, so a release relayed to it as a leaf can omit it.
+    // A membership commit clears the marks (the sender may have been a retired incarnation).
     struct RoundAssembly {
       std::vector<uint8_t> have;
+      std::vector<uint8_t> direct;
       std::vector<BarrierChunk> chunks;
       bool forwarded = false;
     };
@@ -323,6 +329,8 @@ class Runtime : public obs::TraceHook {
     // missed exactly this round is caught up with the same payload its peers applied —
     // same data, same per-origin stamps — so its line timestamps stay interchangeable
     // with everyone else's. One cached copy per node, not N (the merge is built once).
+    // A leaf caches the root's merge too: its own chunk, left out of the relayed frame, is
+    // spliced back before caching; a release it cannot complete is never cached.
     BarrierReleaseMsg last_release;
     bool has_last_release = false;
     uint64_t last_release_ts = 0;  // release_ts of the newest release applied here
@@ -344,6 +352,8 @@ class Runtime : public obs::TraceHook {
   NodeId BarrierParentLocked(NodeId n) const;
   // This node's effective children: live nodes whose effective parent is self_.
   std::vector<NodeId> BarrierChildrenLocked() const;
+  // True when no live node has `n` as its effective parent.
+  bool BarrierLeafLocked(NodeId n) const;
   // Membership flags (nprocs-sized) of `node`'s effective subtree, node itself included.
   std::vector<uint8_t> BarrierSubtreeLocked(NodeId node) const;
 
@@ -366,7 +376,7 @@ class Runtime : public obs::TraceHook {
   void HandleGrant(const GrantMsg& msg);
   void HandleReadRelease(const ReadReleaseMsg& msg);
   void HandleBarrierEnter(BarrierEnterMsg& msg);  // non-const: chunks move into the record
-  void HandleBarrierRelease(const BarrierReleaseMsg& msg);
+  void HandleBarrierRelease(BarrierReleaseMsg& msg);  // non-const: may splice the own chunk
 
   // Liveness/recovery handlers (runtime_recovery.cc). Heartbeats, join requests, and
   // recovery begin/commit frames travel raw (outside the reliable channel) so liveness and
@@ -408,17 +418,26 @@ class Runtime : public obs::TraceHook {
   void SweepBarriersForDeadLocked(NodeId dead);
 
   // --- Barrier tree data path (all callers hold mu_) --------------------------------------
-  // Folds fresh chunks into the round's assembly (deduping per origin); forwards already-
-  // forwarded rounds' stragglers up individually, otherwise re-evaluates the round.
+  // Folds fresh chunks, sent by node `from`, into the round's assembly (deduping per
+  // origin); forwards already-forwarded rounds' stragglers up individually, otherwise
+  // re-evaluates the round.
   void AccumulateChunksLocked(BarrierId barrier, BarrierRecord& b, uint32_t round,
-                              std::vector<BarrierChunk>&& chunks);
+                              NodeId from, std::vector<BarrierChunk>&& chunks);
   // Root: if the round is complete per policy, build the merged release once and apply it.
   // Internal node: if the live subtree is complete, send one combined enter to the parent.
   void MaybeForwardOrReleaseLocked(BarrierId barrier, BarrierRecord& b, uint32_t round);
   // Applies a release at this node (failure/dup handling, update apply, trace, checkpoint,
-  // round advance) and relays it to the effective children unless it is a catch-up.
-  void ApplyReleaseLocked(BarrierId barrier, BarrierRecord& b, const BarrierReleaseMsg& msg);
-  void RelayReleaseLocked(const BarrierReleaseMsg& msg);
+  // round advance) and relays it to the effective children unless it is a catch-up or
+  // still lacks this node's own chunk (msg.omitted_chunk == self_ after a failed splice).
+  void ApplyReleaseLocked(BarrierId barrier, BarrierRecord& b, BarrierReleaseMsg& msg);
+  // Sends `msg` to every effective child. A leaf child whose own chunk reached this node
+  // straight from it this round gets the frame without that chunk (msg.omitted_chunk is set
+  // per child while encoding and restored to kNoNode).
+  void RelayReleaseLocked(const BarrierRecord& b, BarrierReleaseMsg& msg);
+  // Receiver side of the leaf omission: moves this node's own chunk for msg.round from its
+  // assembly back into `msg` at its origin-ordered position and clears msg.omitted_chunk.
+  // Leaves msg.omitted_chunk set when the assembly holds no own chunk.
+  void SpliceOwnChunkLocked(BarrierRecord& b, BarrierReleaseMsg& msg);
   // Answers a stale re-enter (msg.round < completed_round) with a deterministic catch-up
   // release: the cached merged release when it matches `round`, else (only for the direct
   // sender of the enter) this node's full current contribution stamped at the last release.

@@ -475,6 +475,13 @@ void Runtime::ApplyRecoveryCommit(const RecoveryCommitMsg& msg) {
     } else {
       node_dead_[msg.dead] = 1;
     }
+    // A chunk held for a round in flight may have come from an incarnation this commit
+    // retires, and the tree may have changed shape: relay those rounds' releases whole.
+    for (BarrierRecord& b : barriers_) {
+      for (auto& [round, assembly] : b.assembling) {
+        std::fill(assembly.direct.begin(), assembly.direct.end(), 0);
+      }
+    }
     // Wrong burial (membership is final as of the lines above): this commit — or its
     // snapshot; a re-served commit for an unrelated epoch also names us — says we are dead,
     // yet we are alive and running.
@@ -623,7 +630,7 @@ void Runtime::SweepBarriersForDeadLocked(NodeId dead) {
         rel.release_ts = clock_.Tick();
         rel.round = b.completed_round;
         rel.failed_node = dead;
-        RelayReleaseLocked(rel);
+        RelayReleaseLocked(b, rel);
       }
       cv_.notify_all();
       return;

@@ -139,14 +139,13 @@ void VmStrategy::Collect(const Binding& binding, uint64_t since, uint64_t stamp_
       const uint32_t page_bytes = table->PageBytes(page);
       std::byte* data = table->PageData(page);
       std::byte* twin = table->MutableTwin(page);
-      // Diff the whole page against its twin (the paper's primitive), then clip the runs to
-      // the window bound to this synchronization object.
-      ComputeDiffInto({data, page_bytes}, {twin, page_bytes}, &runs);
-      counters_->pages_diffed.fetch_add(1, std::memory_order_relaxed);
+      // Diff only the window bound to this synchronization object: the rest of the page
+      // may be bound to another object whose holder is storing into it right now.
       const uint32_t window_lo = std::max(begin, page_begin) - page_begin;
       const uint32_t window_hi = std::min(end, page_begin + page_bytes) - page_begin;
-      auto clipped = ClipRuns(runs, window_lo, window_hi);
-      for (const DiffRun& run : clipped) {
+      ComputeWindowDiffInto({data, page_bytes}, {twin, page_bytes}, window_lo, window_hi, &runs);
+      counters_->pages_diffed.fetch_add(1, std::memory_order_relaxed);
+      for (const DiffRun& run : runs) {
         UpdateEntry entry;
         entry.addr = GlobalAddr{region->id(), page_begin + run.offset};
         entry.length = run.length;

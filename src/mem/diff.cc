@@ -1,5 +1,6 @@
 #include "src/mem/diff.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -215,6 +216,26 @@ std::vector<DiffRun> ClipRuns(const std::vector<DiffRun>& runs, uint32_t begin, 
     }
   }
   return out;
+}
+
+void ComputeWindowDiffInto(std::span<const std::byte> current, std::span<const std::byte> twin,
+                           uint32_t begin, uint32_t end, std::vector<DiffRun>* out) {
+  MIDWAY_CHECK_EQ(current.size(), twin.size());
+  MIDWAY_CHECK_LE(begin, end);
+  MIDWAY_CHECK_LE(end, current.size());
+  // Widening to word boundaries keeps every compared word where the whole-page diff has it
+  // (and the page's trailing fragment too, when the window reaches it), so the runs agree
+  // with the whole-page diff once trimmed back to the window.
+  const size_t lo = begin / kWord * kWord;
+  const size_t hi = std::min(current.size(), (size_t{end} + kWord - 1) / kWord * kWord);
+  ComputeDiffInto(current.subspan(lo, hi - lo), twin.subspan(lo, hi - lo), out);
+  size_t kept = 0;
+  for (const DiffRun& run : *out) {
+    const auto run_lo = std::max(static_cast<uint32_t>(lo + run.offset), begin);
+    const auto run_hi = std::min(static_cast<uint32_t>(lo + run.offset + run.length), end);
+    if (run_lo < run_hi) (*out)[kept++] = DiffRun{run_lo, run_hi - run_lo};
+  }
+  out->resize(kept);
 }
 
 }  // namespace midway

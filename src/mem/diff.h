@@ -63,8 +63,16 @@ bool SpansEqual(std::span<const std::byte> a, std::span<const std::byte> b);
 uint64_t DiffBytes(const std::vector<DiffRun>& runs);
 
 // Intersects `runs` (offsets relative to some base) with the window [begin, end), returning
-// clipped runs. Used to restrict a page diff to the data bound to one synchronization object.
+// clipped runs.
 std::vector<DiffRun> ClipRuns(const std::vector<DiffRun>& runs, uint32_t begin, uint32_t end);
+
+// Diffs only the window [begin, end) of a page: fills `out` with exactly
+// ClipRuns(ComputeDiff(current, twin), begin, end), page-relative, while reading no byte
+// outside the window widened to whole words. Restricts a page diff to the data bound to one
+// synchronization object without touching the rest of the page, which may belong to
+// another object whose holder is writing it concurrently.
+void ComputeWindowDiffInto(std::span<const std::byte> current, std::span<const std::byte> twin,
+                           uint32_t begin, uint32_t end, std::vector<DiffRun>* out);
 
 }  // namespace midway
 

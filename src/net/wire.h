@@ -1,7 +1,8 @@
 // Little-endian wire encoding for DSM protocol messages.
 //
-// The encoding is deliberately simple: fixed-width little-endian integers, and
-// length-prefixed byte blobs. Decoding is bounds-checked; reading past the end of a buffer
+// The encoding is deliberately simple: fixed-width little-endian integers, LEB128 varints
+// (with zigzag for signed deltas), and length-prefixed byte blobs. Decoding is
+// bounds-checked; reading past the end of a buffer, or an overlong or out-of-range varint,
 // sets a sticky error flag and yields zero values, so malformed frames cannot cause
 // out-of-bounds access.
 #ifndef MIDWAY_SRC_NET_WIRE_H_
@@ -27,13 +28,16 @@ namespace midway {
 // already-headered application frames; the duplication costs three bytes and keeps every
 // decode entry point independently checkable.
 inline constexpr uint16_t kWireMagic = 0x4D57;  // "MW"
-inline constexpr uint8_t kWireVersion = 5;  // bumped by PR 10 (tree barrier chunked enters)
+inline constexpr uint8_t kWireVersion = 6;  // compact update-set framing, leaf-trimmed releases
 inline constexpr size_t kWireHeaderBytes = 3;
 
 enum class WireHeaderStatus : uint8_t { kOk = 0, kTruncated, kBadMagic, kBadVersion };
 
 // Human-readable reason for a rejected header ("bad magic 0xABCD (want 0x4D57)").
 std::string WireHeaderError(WireHeaderStatus status, std::span<const std::byte> frame);
+
+// A u64 varint needs at most ten 7-bit groups.
+inline constexpr size_t kMaxVarintBytes = 10;
 
 // Grows into a contiguous buffer via bulk memcpy (never per-byte push_back). A writer with
 // zero-copy enabled may additionally hold *external segments*: payload spans recorded by
@@ -71,6 +75,19 @@ class WireWriter {
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
     AppendLE(bits);
+  }
+  // Unsigned LEB128: seven bits per byte, low group first, high bit set on all but the last.
+  void VarU64(uint64_t v) {
+    std::byte tmp[kMaxVarintBytes];
+    size_t n = 0;
+    for (; v >= 0x80; v >>= 7) tmp[n++] = static_cast<std::byte>((v & 0x7F) | 0x80);
+    tmp[n++] = static_cast<std::byte>(v);
+    std::memcpy(Grow(n), tmp, n);
+  }
+  // Signed value as a zigzag varint (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...), so small deltas
+  // of either sign take one byte.
+  void VarI64(int64_t v) {
+    VarU64((static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63));
   }
 
   // Length-prefixed blob (u32 length).
@@ -214,6 +231,38 @@ class WireReader {
     double v;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
+  }
+  // Rejects (sticky error, returns 0) a varint that runs past the buffer, needs more than
+  // kMaxVarintBytes, overflows 64 bits, or is non-minimal (a trailing zero group): every
+  // value has exactly one accepted encoding.
+  uint64_t VarU64() {
+    uint64_t v = 0;
+    for (size_t i = 0; i < kMaxVarintBytes; ++i) {
+      if (error_ || pos_ >= data_.size()) break;
+      const auto b = static_cast<uint8_t>(data_[pos_++]);
+      const uint64_t group = b & 0x7F;
+      if (i == kMaxVarintBytes - 1 && group > 1) break;  // bits past 2^64
+      v |= group << (7 * i);
+      if ((b & 0x80) == 0) {
+        if (b == 0 && i > 0) break;  // overlong: a zero final group
+        return v;
+      }
+    }
+    error_ = true;
+    return 0;
+  }
+  // A varint that must fit in 32 bits (region ids, lengths); larger values are rejected.
+  uint32_t VarU32() {
+    const uint64_t v = VarU64();
+    if (v > UINT32_MAX) {
+      error_ = true;
+      return 0;
+    }
+    return static_cast<uint32_t>(v);
+  }
+  int64_t VarI64() {
+    const uint64_t z = VarU64();
+    return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
   }
 
   // Length-prefixed blob. Returns a view into the underlying buffer (valid while the buffer

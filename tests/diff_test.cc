@@ -2,7 +2,9 @@
 // pushes diff-derived updates through the real wire format (the path a grant takes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "src/common/rng.h"
 #include "src/core/protocol.h"
@@ -75,6 +77,47 @@ TEST(DiffEdgeTest, DirtyTailMergesWithAdjacentDirtyWord) {
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].offset, 8u);
   EXPECT_EQ(runs[0].length, 6u);
+}
+
+// Window diff: on random pages with unaligned windows (and pages whose size is not a whole
+// number of words), diffing only the window gives exactly the whole-page diff clipped to the
+// window, and bytes beyond the window's enclosing words do not matter — they are never read.
+class WindowDiffTest : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WindowDiffTest, ::testing::Range(uint64_t{1}, uint64_t{9}));
+
+TEST_P(WindowDiffTest, EqualsClippedWholePageDiff) {
+  SplitMix64 rng(GetParam() * 7877);
+  const size_t sizes[] = {4096, 4099, 257, 64, 7, 3};
+  std::vector<DiffRun> runs;
+  for (int iter = 0; iter < 200; ++iter) {
+    const size_t size = sizes[rng.NextBounded(std::size(sizes))];
+    std::vector<std::byte> twin = RandomBytes(&rng, size);
+    std::vector<std::byte> current = twin;
+    const size_t touches = rng.NextBounded(12);
+    for (size_t t = 0; t < touches; ++t) {
+      const size_t at = rng.NextBounded(size);
+      const size_t len = std::min<size_t>(size - at, 1 + rng.NextBounded(24));
+      for (size_t i = at; i < at + len; ++i) current[i] = ~current[i];
+    }
+    auto lo = static_cast<uint32_t>(rng.NextBounded(size + 1));
+    auto hi = static_cast<uint32_t>(rng.NextBounded(size + 1));
+    if (lo > hi) std::swap(lo, hi);
+    ComputeWindowDiffInto(current, twin, lo, hi, &runs);
+    EXPECT_EQ(runs, ClipRuns(ComputeDiffScalar(current, twin), lo, hi))
+        << "seed " << GetParam() << " iter " << iter << " size " << size << " window [" << lo
+        << ", " << hi << ")";
+    // Scribble over everything outside the window's enclosing words: same result.
+    const size_t word_lo = lo / 4 * 4;
+    const size_t word_hi = std::min(size, (size_t{hi} + 3) / 4 * 4);
+    std::vector<std::byte> scribbled = current;
+    for (size_t i = 0; i < size; ++i) {
+      if (i < word_lo || i >= word_hi) scribbled[i] = ~twin[i];
+    }
+    std::vector<DiffRun> again;
+    ComputeWindowDiffInto(scribbled, twin, lo, hi, &again);
+    EXPECT_EQ(again, runs) << "seed " << GetParam() << " iter " << iter;
+  }
 }
 
 class DiffWireRoundTripTest : public ::testing::TestWithParam<uint64_t> {};

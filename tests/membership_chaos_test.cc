@@ -212,6 +212,26 @@ TEST_P(MembershipChaosGoldenTest, EverySliceExactAndZombieResurrected) {
   ExpectChaosInvariants(system, c.seed);
 }
 
+// Spins until `rt`, muted, has been buried and readmitted: its incarnation moves past 0.
+// Bounded: a burial that never commits, or never reaches the victim, fails the test here
+// with the victim's view after 30 s instead of hanging every survivor's barrier until ctest
+// kills the run.
+void AwaitOwnBurial(Runtime& rt, uint64_t seed) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rt.incarnation() == 0) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      std::string membership;
+      for (uint8_t dead : rt.DebugMembership()) membership += dead ? 'D' : '.';
+      ADD_FAILURE() << "chaos seed " << seed << ": victim " << rt.self()
+                    << " still at incarnation 0 after 30 s muted (epoch " << rt.DebugEpoch()
+                    << ", self state " << static_cast<int>(rt.DebugSelfState())
+                    << ", membership " << membership << ")";
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+}
+
 // --- Lock-bound exactness under a forced burial at 16 nodes --------------------------------
 //
 // Every node increments a lock-guarded counter once per round. The burial is pinned to a
@@ -247,9 +267,7 @@ TEST_P(MembershipChaosLockTest, ZombieLockDataSurvivesForcedBurialAt16Nodes) {
       rt.BarrierWait(step);
       if (round == 0 && rt.self() == victim) {
         rt.DebugMuteHeartbeats(true);
-        while (rt.incarnation() == 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
+        AwaitOwnBurial(rt, seed);
         rt.DebugMuteHeartbeats(false);
       }
       rt.BarrierWait(step);
@@ -361,9 +379,7 @@ TEST_P(BarrierTreeChaosTest, InternalNodeDeathAndLeafBurialKeepEverySliceExact) 
         // commit our death (the incarnation bump is its sticky trace), then rejoin via
         // protest before contributing this round.
         rt.DebugMuteHeartbeats(true);
-        while (rt.incarnation() == 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
+        AwaitOwnBurial(rt, c.seed);
         rt.DebugMuteHeartbeats(false);
       }
       const int begin = rt.self() * chunk;

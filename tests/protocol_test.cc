@@ -2,6 +2,8 @@
 // and randomized sweeps over update sets.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "src/common/rng.h"
 #include "src/core/protocol.h"
 
@@ -276,6 +278,154 @@ TEST_P(ProtocolFuzzTest, RandomGrantsRoundtrip) {
     ASSERT_TRUE(Decode(Encode(msg), &got));
     EXPECT_EQ(got, msg);
   }
+}
+
+// --- Update-set framing ---------------------------------------------------------------
+
+// Entries in the shapes the delta framing must survive: offsets out of order (negative
+// deltas), regions interleaved entry by entry, zero-length entries, and ts that mix zero
+// with nonzero values (or are all zero, which drops the ts column from the set).
+UpdateSet MakeMixedUpdates(SplitMix64* rng, size_t count, bool with_ts) {
+  UpdateSet set;
+  for (size_t i = 0; i < count; ++i) {
+    UpdateEntry e;
+    e.addr.region =
+        static_cast<RegionId>(rng->NextBounded(3) == 0 ? rng->Next() : rng->NextBounded(3));
+    const auto length =
+        static_cast<uint32_t>(rng->NextBounded(5) == 0 ? 0 : 1 + rng->NextBounded(96));
+    e.addr.offset = rng->NextBounded(4) == 0
+                        ? static_cast<uint32_t>(UINT32_MAX - length - rng->NextBounded(16))
+                        : static_cast<uint32_t>(rng->NextBounded(1 << 16));
+    e.ts = with_ts && rng->NextBounded(2) == 0 ? rng->Next() : 0;
+    std::vector<std::byte> bytes(length);
+    for (auto& b : bytes) b = static_cast<std::byte>(rng->Next());
+    e.BindCopy(bytes);
+    set.push_back(std::move(e));
+  }
+  return set;
+}
+
+std::vector<std::byte> EncodeSet(const UpdateSet& set) {
+  WireWriter w;
+  EncodeUpdateSet(&w, set);
+  return w.Take();
+}
+
+class UpdateSetFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UpdateSetFuzzTest, ::testing::Range(uint64_t{1}, uint64_t{9}));
+
+TEST_P(UpdateSetFuzzTest, MixedShapesRoundtrip) {
+  SplitMix64 rng(GetParam() * 104729);
+  for (int iter = 0; iter < 50; ++iter) {
+    const UpdateSet set = MakeMixedUpdates(&rng, rng.NextBounded(40), iter % 3 != 0);
+    const auto frame = EncodeSet(set);
+    WireReader r(frame);
+    UpdateSet got;
+    ASSERT_TRUE(DecodeUpdateSet(&r, &got)) << "seed " << GetParam() << " iter " << iter;
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(got, set) << "seed " << GetParam() << " iter " << iter;
+    // Every strict prefix fails cleanly.
+    for (size_t cut = 0; cut < frame.size(); ++cut) {
+      WireReader cut_r(std::span<const std::byte>(frame.data(), cut));
+      UpdateSet partial;
+      EXPECT_FALSE(DecodeUpdateSet(&cut_r, &partial)) << "cut " << cut;
+    }
+  }
+}
+
+TEST(UpdateSetFramingTest, AscendingUntimedRunsCostThreeHeaderBytes) {
+  // The VM diff shape: 8-byte runs every 16 bytes in one region, ts 0. Each entry is a
+  // length byte and an offset-delta byte; the set adds a count varint and a flags byte.
+  UpdateSet set;
+  std::vector<std::byte> bytes(8, std::byte{7});
+  for (uint32_t i = 0; i < 100; ++i) {
+    UpdateEntry e;
+    e.addr = GlobalAddr{3, 4096 + 16 * i};
+    e.BindCopy(bytes);
+    set.push_back(std::move(e));
+  }
+  const auto frame = EncodeSet(set);
+  // First entry: length|new_region, region, offset delta (2 bytes for 4096); then 2 per entry.
+  EXPECT_EQ(frame.size(), 1 + 1 + (1 + 1 + 2) + 99 * 2 + UpdateBytes(set));
+}
+
+TEST(UpdateSetFramingTest, RejectsOverlongVarints) {
+  // count = 1 written as a non-minimal two-byte varint.
+  const std::vector<std::byte> frame = {std::byte{0x81}, std::byte{0x00}, std::byte{0x00},
+                                        std::byte{0x02}, std::byte{0x00}};
+  WireReader r(frame);
+  UpdateSet got;
+  EXPECT_FALSE(DecodeUpdateSet(&r, &got));
+}
+
+TEST(UpdateSetFramingTest, RejectsOffsetOverflow) {
+  // Hand-built sets: [count][flags] then one entry [length<<1 | new_region][offset delta].
+  auto decode = [](std::initializer_list<uint64_t> head, int64_t delta, size_t payload) {
+    WireWriter w;
+    for (uint64_t v : head) w.VarU64(v);
+    w.VarI64(delta);
+    w.Raw(std::vector<std::byte>(payload));
+    const auto frame = w.Take();
+    WireReader r(frame);
+    UpdateSet got;
+    return DecodeUpdateSet(&r, &got);
+  };
+  // count 1, flags 0 (written as a varint 0, one byte), length 4, same region.
+  EXPECT_TRUE(decode({1, 0, 4 << 1}, int64_t{UINT32_MAX} - 4, 4));
+  EXPECT_FALSE(decode({1, 0, 4 << 1}, int64_t{UINT32_MAX} - 3, 4));  // end past u32
+  EXPECT_FALSE(decode({1, 0, 4 << 1}, int64_t{UINT32_MAX} + 1, 4));  // offset past u32
+  EXPECT_FALSE(decode({1, 0, 4 << 1}, -1, 4));                        // offset below 0
+  EXPECT_FALSE(decode({1, 0, (uint64_t{1} << 32) << 1}, 0, 0));       // length past u32
+}
+
+TEST(UpdateSetFramingTest, RejectsCountsTheFrameCannotHold) {
+  WireWriter w;
+  w.VarU64(uint64_t{1} << 40);
+  w.U8(0);
+  w.Raw(std::vector<std::byte>(64));
+  const auto frame = w.Take();
+  WireReader r(frame);
+  UpdateSet got;
+  EXPECT_FALSE(DecodeUpdateSet(&r, &got));
+  // Unknown flag bits are rejected too.
+  WireWriter f;
+  f.VarU64(0);
+  f.U8(0x80);
+  const auto flagged = f.Take();
+  WireReader fr(flagged);
+  EXPECT_FALSE(DecodeUpdateSet(&fr, &got));
+}
+
+TEST(ProtocolTest, ReleaseOmitsTheNamedChunkOnlyWhenPresent) {
+  SplitMix64 rng(21);
+  BarrierReleaseMsg full;
+  full.barrier = 1;
+  full.release_ts = 99;
+  full.round = 4;
+  full.chunks.push_back(BarrierChunk{0, 90, MakeUpdates(&rng, 3)});
+  full.chunks.push_back(BarrierChunk{1, 91, MakeUpdates(&rng, 5)});
+  full.chunks.push_back(BarrierChunk{2, 92, MakeUpdates(&rng, 2)});
+  const auto full_frame = Encode(full);
+
+  BarrierReleaseMsg trimmed = full;
+  trimmed.omitted_chunk = 1;
+  const auto trimmed_frame = Encode(trimmed);
+  BarrierReleaseMsg got;
+  ASSERT_TRUE(Decode(trimmed_frame, &got));
+  EXPECT_EQ(got.omitted_chunk, 1);
+  ASSERT_EQ(got.chunks.size(), 2u);
+  EXPECT_EQ(got.chunks[0], full.chunks[0]);
+  EXPECT_EQ(got.chunks[1], full.chunks[2]);
+  // Exactly the omitted chunk's bytes (node, enter_ts, update set) are saved.
+  WireWriter chunk;
+  EncodeUpdateSet(&chunk, full.chunks[1].updates);
+  EXPECT_EQ(full_frame.size() - trimmed_frame.size(), 2 + 8 + chunk.Size());
+
+  // Naming an origin with no chunk omits nothing and is not written.
+  BarrierReleaseMsg absent = full;
+  absent.omitted_chunk = 7;
+  EXPECT_EQ(Encode(absent), full_frame);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "src/core/reliable.h"
 #include "src/net/faulty_transport.h"
@@ -19,7 +20,9 @@ namespace {
 using namespace std::chrono_literals;
 
 // Decorator whose per-packet fate is decided by a test-supplied predicate (return true to
-// drop). Lets a test lose exactly the packets its scenario needs.
+// drop). Lets a test lose exactly the packets its scenario needs. A held link queues its
+// packets until ReleaseLink delivers them in order, so a test can pin the state between a
+// send and the peer's answer.
 class ScriptedTransport : public Transport {
  public:
   using DropFn = std::function<bool(NodeId src, NodeId dst, const std::vector<std::byte>&)>;
@@ -29,7 +32,33 @@ class ScriptedTransport : public Transport {
   NodeId NumNodes() const override { return inner_.NumNodes(); }
   void Send(NodeId src, NodeId dst, std::vector<std::byte> payload) override {
     if (drop_ && drop_(src, dst, payload)) return;
+    {
+      std::lock_guard<std::mutex> lock(hold_mu_);
+      if (holding_ && src == held_src_ && dst == held_dst_) {
+        held_.push_back(std::move(payload));
+        return;
+      }
+    }
     inner_.Send(src, dst, std::move(payload));
+  }
+  void HoldLink(NodeId src, NodeId dst) {
+    std::lock_guard<std::mutex> lock(hold_mu_);
+    holding_ = true;
+    held_src_ = src;
+    held_dst_ = dst;
+  }
+  void ReleaseLink() {
+    std::vector<std::vector<std::byte>> held;
+    NodeId src;
+    NodeId dst;
+    {
+      std::lock_guard<std::mutex> lock(hold_mu_);
+      holding_ = false;
+      held.swap(held_);
+      src = held_src_;
+      dst = held_dst_;
+    }
+    for (auto& payload : held) inner_.Send(src, dst, std::move(payload));
   }
   bool Recv(NodeId self, Packet* out) override { return inner_.Recv(self, out); }
   void Shutdown() override { inner_.Shutdown(); }
@@ -39,6 +68,11 @@ class ScriptedTransport : public Transport {
  private:
   InProcTransport inner_;
   DropFn drop_;
+  std::mutex hold_mu_;
+  bool holding_ = false;
+  NodeId held_src_ = 0;
+  NodeId held_dst_ = 0;
+  std::vector<std::vector<std::byte>> held_;
 };
 
 bool IsRelData(const std::vector<std::byte>& frame) {
@@ -186,7 +220,8 @@ TEST(ReliableChannelTest, BackoffDoublesAndCaps) {
 TEST(ReliableChannelTest, AckProgressResetsBackoff) {
   // Drop the first 3 data frames so the RTO backs off, then let traffic through; the next
   // send must start from the initial RTO again. Timeouts are long enough here that reading
-  // the RTO right after Send cannot race a genuine expiry.
+  // the RTO right after Send cannot race a genuine expiry, and node 1's acks are held until
+  // the RTO has been read: an ack of frame 2 would empty the window and reset the RTO to 0.
   std::atomic<int> to_drop{3};
   ScriptedTransport transport(2, [&](NodeId src, NodeId dst, const std::vector<std::byte>& f) {
     return src == 0 && dst == 1 && IsRelData(f) && to_drop.fetch_sub(1) > 0;
@@ -205,8 +240,10 @@ TEST(ReliableChannelTest, AckProgressResetsBackoff) {
       std::this_thread::sleep_for(1ms);
     }
     ASSERT_EQ(a.channel().DebugUnacked(1), 0u);
+    transport.HoldLink(1, 0);
     a.channel().Send(1, AppFrame(2));
     EXPECT_EQ(a.channel().DebugCurrentRtoUs(1), config.rel_initial_rto_us);
+    transport.ReleaseLink();
     ASSERT_TRUE(b.WaitForDelivered(2, 5s));
   }
 }

@@ -1,10 +1,16 @@
 // End-to-end tests of the entry-consistency protocol engine across all detection strategies.
+#include <algorithm>
+#include <memory>
+#include <mutex>
 #include <numeric>
+#include <ostream>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/midway.h"
+#include "src/net/inproc_transport.h"
 
 namespace midway {
 namespace {
@@ -352,6 +358,162 @@ TEST(RuntimeTest, MisclassifiedPrivateWrites) {
   });
   EXPECT_EQ(system.Snapshots()[0].dirtybits_misclassified, 32u);
   EXPECT_EQ(system.Snapshots()[0].dirtybits_set, 0u);
+}
+
+// --- Leaf-trimmed barrier releases -----------------------------------------------------
+
+// Forwards to an in-process transport and keeps a copy of every BarrierRelease frame.
+class ReleaseRecordingTransport : public Transport {
+ public:
+  struct Frame {
+    NodeId src;
+    NodeId dst;
+    std::vector<std::byte> bytes;
+  };
+
+  explicit ReleaseRecordingTransport(NodeId num_nodes) : inner_(num_nodes) {}
+
+  NodeId NumNodes() const override { return inner_.NumNodes(); }
+  void Send(NodeId src, NodeId dst, std::vector<std::byte> payload) override {
+    MsgType type;
+    if (PeekType(payload, &type) && type == MsgType::kBarrierRelease) {
+      std::lock_guard<std::mutex> lk(mu_);
+      releases_.push_back(Frame{src, dst, payload});
+    }
+    inner_.Send(src, dst, std::move(payload));
+  }
+  bool Recv(NodeId self, Packet* out) override { return inner_.Recv(self, out); }
+  void Shutdown() override { inner_.Shutdown(); }
+  uint64_t BytesSent() const override { return inner_.BytesSent(); }
+  uint64_t PacketsSent() const override { return inner_.PacketsSent(); }
+
+  std::vector<Frame> Releases() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return releases_;
+  }
+
+ private:
+  InProcTransport inner_;
+  std::mutex mu_;
+  std::vector<Frame> releases_;
+};
+
+struct TreeCase {
+  uint16_t procs;
+  uint32_t fanout;
+  DetectionMode mode;
+  const char* name;
+};
+
+// Prints the case name, so test discovery names it the same way every run.
+void PrintTo(const TreeCase& c, std::ostream* os) { *os << c.name; }
+
+class LeafTrimTest : public ::testing::TestWithParam<TreeCase> {};
+
+INSTANTIATE_TEST_SUITE_P(Trees, LeafTrimTest,
+                         ::testing::Values(TreeCase{3, 4, DetectionMode::kVmSoft, "n3_f4_vm"},
+                                           TreeCase{4, 4, DetectionMode::kRt, "n4_f4_rt"},
+                                           TreeCase{4, 4, DetectionMode::kVmSoft, "n4_f4_vm"},
+                                           TreeCase{7, 2, DetectionMode::kVmSoft, "n7_f2_vm"},
+                                           TreeCase{7, 2, DetectionMode::kRt, "n7_f2_rt"}),
+                         [](const ::testing::TestParamInfo<TreeCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+// Every node's cached release equals the root's merge; a leaf's frame lacks exactly its own
+// chunk (byte for byte the root's merge encoded without it); an internal child's frame
+// carries every chunk.
+TEST_P(LeafTrimTest, LeafFramesOmitOwnChunkAndEveryCacheEqualsTheRootMerge) {
+  const TreeCase tc = GetParam();
+  constexpr int kPerProc = 2048;  // int32s: two 4 KB pages per node
+  constexpr int kRounds = 3;
+  SystemConfig config = MakeConfig(tc.mode, tc.procs);
+  config.barrier_fanout = tc.fanout;
+  ReleaseRecordingTransport transport(tc.procs);
+  std::vector<std::unique_ptr<Runtime>> runtimes;
+  for (NodeId i = 0; i < tc.procs; ++i) {
+    runtimes.push_back(std::make_unique<Runtime>(config, i, &transport));
+  }
+  BarrierId user_barrier = 0;
+  std::vector<int> mismatches(tc.procs, 0);
+  {
+    std::vector<std::thread> comm;
+    for (auto& rt : runtimes) comm.emplace_back([r = rt.get()] { r->CommLoop(); });
+    std::vector<std::thread> apps;
+    for (auto& rt : runtimes) {
+      apps.emplace_back([&, r = rt.get()] {
+        auto data = MakeSharedArray<int32_t>(*r, static_cast<size_t>(tc.procs) * kPerProc);
+        const BarrierId barrier = r->CreateBarrier();
+        if (r->self() == 0) user_barrier = barrier;  // the same id on every node
+        r->BindBarrier(barrier, {data.WholeRange()});
+        r->BeginParallel();
+        for (int round = 1; round <= kRounds; ++round) {
+          for (int i = 0; i < kPerProc; i += 3) {
+            data[r->self() * kPerProc + i] = round * 100000 + r->self() * 1000 + i;
+          }
+          r->BarrierWait(barrier);
+          for (NodeId p = 0; p < tc.procs; ++p) {
+            for (int i = 0; i < kPerProc; i += 3) {
+              if (data.Get(p * kPerProc + i) != round * 100000 + p * 1000 + i) {
+                ++mismatches[r->self()];
+              }
+            }
+          }
+          r->BarrierWait(barrier);  // nobody writes the next round before all read
+        }
+        r->FinishParallel();
+      });
+    }
+    for (auto& t : apps) t.join();
+    for (auto& rt : runtimes) rt->StopReliability();
+    transport.Shutdown();
+    for (auto& t : comm) t.join();
+  }
+  for (NodeId n = 0; n < tc.procs; ++n) EXPECT_EQ(mismatches[n], 0) << "node " << n;
+
+  const auto root_merge = runtimes[0]->DebugLastRelease(user_barrier);
+  ASSERT_TRUE(root_merge.has_value());
+  ASSERT_EQ(root_merge->chunks.size(), tc.procs);
+  for (NodeId n = 0; n < tc.procs; ++n) {
+    EXPECT_EQ(root_merge->chunks[n].node, n) << "the merge is in origin order";
+    const auto cached = runtimes[n]->DebugLastRelease(user_barrier);
+    ASSERT_TRUE(cached.has_value()) << "node " << n;
+    EXPECT_EQ(*cached, *root_merge) << "node " << n << "'s cached release";
+  }
+
+  auto is_leaf = [&](NodeId n) { return static_cast<uint32_t>(n) * tc.fanout + 1 >= tc.procs; };
+  int leaf_frames = 0;
+  int internal_frames = 0;
+  for (const auto& frame : transport.Releases()) {
+    BarrierReleaseMsg msg;
+    ASSERT_TRUE(Decode(frame.bytes, &msg));
+    ASSERT_EQ(frame.src, (frame.dst - 1) / tc.fanout) << "releases follow the static tree";
+    const bool has_own = std::any_of(msg.chunks.begin(), msg.chunks.end(),
+                                     [&](const BarrierChunk& c) { return c.node == frame.dst; });
+    if (is_leaf(frame.dst)) {
+      ++leaf_frames;
+      EXPECT_EQ(msg.omitted_chunk, frame.dst);
+      EXPECT_FALSE(has_own) << "leaf " << frame.dst << " got its own chunk back";
+      EXPECT_EQ(msg.chunks.size(), tc.procs - 1u);
+    } else {
+      ++internal_frames;
+      EXPECT_EQ(msg.omitted_chunk, kNoNode);
+      EXPECT_EQ(msg.chunks.size(), tc.procs) << "internal child " << frame.dst;
+    }
+    if (msg.barrier == user_barrier && msg.round == root_merge->round) {
+      // The wire bytes are the root's merge encoded without (only) a leaf's own chunk.
+      BarrierReleaseMsg expected = *root_merge;
+      expected.omitted_chunk = is_leaf(frame.dst) ? frame.dst : kNoNode;
+      EXPECT_EQ(frame.bytes, Encode(expected)) << "frame to " << frame.dst;
+      if (is_leaf(frame.dst)) {
+        EXPECT_LT(frame.bytes.size(), Encode(*root_merge).size());
+      }
+    }
+  }
+  EXPECT_GT(leaf_frames, 0);
+  if (tc.procs > tc.fanout + 1) {
+    EXPECT_GT(internal_frames, 0);
+  }
 }
 
 }  // namespace

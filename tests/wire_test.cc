@@ -1,6 +1,9 @@
 // Wire encoding: roundtrips, bounds safety, and randomized property sweeps.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <iterator>
+
 #include "src/common/rng.h"
 #include "src/net/wire.h"
 
@@ -52,6 +55,61 @@ TEST(WireTest, BytesAndStrings) {
   EXPECT_EQ(r.Str(), "midway");
   EXPECT_EQ(r.Str(), "");
   EXPECT_TRUE(r.ok());
+}
+
+TEST(WireTest, VarintRoundtripAndSizes) {
+  const uint64_t values[] = {0, 1, 127, 128, 16383, 16384, UINT32_MAX, UINT64_MAX};
+  const size_t sizes[] = {1, 1, 1, 2, 2, 3, 5, kMaxVarintBytes};
+  for (size_t i = 0; i < std::size(values); ++i) {
+    WireWriter w;
+    w.VarU64(values[i]);
+    auto buffer = w.Take();
+    EXPECT_EQ(buffer.size(), sizes[i]) << values[i];
+    WireReader r(buffer);
+    EXPECT_EQ(r.VarU64(), values[i]);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.AtEnd());
+  }
+  const int64_t signed_values[] = {0, -1, 1, -64, 64, INT64_MIN, INT64_MAX};
+  for (int64_t v : signed_values) {
+    WireWriter w;
+    w.VarI64(v);
+    auto buffer = w.Take();
+    if (v >= -64 && v < 64) {
+      EXPECT_EQ(buffer.size(), 1u) << v;
+    }
+    WireReader r(buffer);
+    EXPECT_EQ(r.VarI64(), v);
+    EXPECT_TRUE(r.ok());
+  }
+}
+
+std::vector<std::byte> ByteVec(std::initializer_list<uint8_t> bytes) {
+  std::vector<std::byte> out;
+  for (uint8_t b : bytes) out.push_back(static_cast<std::byte>(b));
+  return out;
+}
+
+TEST(WireTest, MalformedVarintsRejected) {
+  const std::vector<std::byte> bad[] = {
+      ByteVec({0x80, 0x00}),  // non-minimal: a zero final group
+      ByteVec({0xFF, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}),  // 11 bytes
+      ByteVec({0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02}),  // past 2^64
+      ByteVec({0x80, 0x80}),  // truncated mid-varint
+      ByteVec({}),
+  };
+  for (const auto& frame : bad) {
+    WireReader r(frame);
+    EXPECT_EQ(r.VarU64(), 0u);
+    EXPECT_FALSE(r.ok()) << frame.size() << " bytes";
+  }
+  // VarU32 rejects a well-formed varint whose value does not fit in 32 bits.
+  WireWriter w;
+  w.VarU64(uint64_t{UINT32_MAX} + 1);
+  auto wide = w.Take();
+  WireReader r(wide);
+  EXPECT_EQ(r.VarU32(), 0u);
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(WireTest, ReadPastEndSetsStickyError) {
